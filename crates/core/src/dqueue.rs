@@ -375,6 +375,7 @@ impl<S: Schedulable> DriveQueue<S> {
             lanes.clear();
         }
         self.band_bits.fill(0);
+        self.lane_count = 0;
         self.sweep.clear();
         self.fcfs.clear();
     }
@@ -1023,6 +1024,7 @@ mod tests {
                 ));
             }
         }
+        assert_eq!(dq.lane_count, got.len(), "lane count desynced");
         want.sort_unstable();
         got.sort_unstable();
         assert_eq!(got, want, "band index desynced");
@@ -1219,6 +1221,51 @@ mod tests {
                     .map(|p| (ids[p.queue_index], p.candidate));
                 let got = dq.pick(&d, now, &mut look_a, SimDuration::ZERO, 128);
                 assert_eq!(got, want, "{policy}: stale phase memo changed the pick");
+            }
+        });
+    }
+
+    /// `clear` must leave the index as if freshly built: no lanes, no
+    /// band bits, and a zero lane count, so a shallow refill takes the
+    /// small-queue route again and still picks like the scan.
+    #[test]
+    fn clear_then_refill_keeps_the_index_exact() {
+        let cyls = DiskParams::st39133lwv().total_cylinders();
+        mimd_sim::check::check_cases("clear then refill", 8, |_case, rng| {
+            for policy in [Policy::Satf, Policy::Rsatf] {
+                let d = disk();
+                let now = d.busy_until();
+                let mut dq: DriveQueue<Entry> = DriveQueue::new(policy);
+                let deep: Vec<Entry> = (0..40).map(|_| random_entry(rng, cyls, 50)).collect();
+                let old: Vec<TaskId> = deep.iter().map(|e| dq.insert(&d, e.clone())).collect();
+                check_index(&dq, &d, &deep, &old);
+                dq.clear();
+                assert!(dq.is_empty());
+                assert!(old.iter().all(|&id| dq.get(id).is_none()));
+                check_index(&dq, &d, &[], &[]);
+                let mut mirror: Vec<Entry> = (0..4).map(|_| random_entry(rng, cyls, 50)).collect();
+                let mut ids: Vec<TaskId> =
+                    mirror.iter().map(|e| dq.insert(&d, e.clone())).collect();
+                check_index(&dq, &d, &mirror, &ids);
+                assert!(dq.lane_count <= SMALL_LANES, "refill is shallow");
+                while !mirror.is_empty() {
+                    let mut look_a = LookState::default();
+                    let mut look_b = LookState::default();
+                    let want =
+                        sched::pick(policy, &d, now, &mirror, &mut look_b, SimDuration::ZERO)
+                            .map(|p| (ids[p.queue_index], p.candidate));
+                    let got = dq.pick(&d, now, &mut look_a, SimDuration::ZERO, 128);
+                    assert_eq!(got, want, "{policy}");
+                    let (id, _) = got.expect("non-empty queue must pick");
+                    let at = ids
+                        .iter()
+                        .position(|&x| x == id)
+                        .expect("picked id is live");
+                    assert!(dq.remove(id).is_some());
+                    ids.remove(at);
+                    mirror.remove(at);
+                    check_index(&dq, &d, &mirror, &ids);
+                }
             }
         });
     }

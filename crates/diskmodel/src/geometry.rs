@@ -15,6 +15,7 @@
 //! sequential transfers crossing a track boundary line up with the head
 //! switch.
 
+use crate::mechanics::frac1;
 use crate::params::DiskParams;
 
 /// Physical address of a sector: cylinder, surface, and sector-within-track.
@@ -215,33 +216,23 @@ impl Geometry {
         }
         let skew = self.track_index(chs.cylinder, chs.surface) as f64 * self.track_skew_frac;
         let within = chs.sector as f64 / z.sectors_per_track as f64;
-        Some((skew + within).rem_euclid(1.0))
+        Some(frac1(skew + within))
     }
 
     /// The sector on `(cylinder, surface)` whose start angle is nearest at
     /// or after the requested angle (used to materialise a rotational
     /// replica "at angle θ" on a concrete track).
     pub fn sector_at_angle(&self, cylinder: u32, surface: u32, angle: f64) -> Option<u32> {
-        let z = self.zone_of_cylinder(cylinder)?;
-        if surface >= self.surfaces {
-            return None;
-        }
-        let spt = z.sectors_per_track as f64;
-        let skew = self.track_index(cylinder, surface) as f64 * self.track_skew_frac;
-        let within = (angle - skew).rem_euclid(1.0);
-        // The epsilon absorbs float error when `angle` is exactly a sector
-        // start, so the inverse of `angle_of` returns that same sector.
-        let sector = (within * spt - 1e-6).ceil().max(0.0) as u32 % z.sectors_per_track;
-        Some(sector)
+        self.quantise_angle(cylinder, surface, angle)
+            .map(|(_, sector, _)| sector)
     }
 
     /// Quantises `angle` to the owning track's sector grid in one pass,
-    /// returning `(start_angle, sector, sectors_per_track)`.
-    ///
-    /// Computes exactly what separate [`Geometry::sector_at_angle`],
-    /// [`Geometry::angle_of`], and [`Geometry::sectors_per_track`] calls
-    /// would — bit-for-bit, since the skew term is shared — but with a
-    /// single zone lookup. This is the detailed timing path's inner loop.
+    /// returning `(start_angle, sector, sectors_per_track)`: the sector
+    /// [`Geometry::sector_at_angle`] names, its [`Geometry::angle_of`]
+    /// bit for bit (the skew term is shared), and the track's
+    /// [`Geometry::sectors_per_track`], from a single zone lookup. This is
+    /// the detailed timing path's inner loop.
     #[inline]
     pub fn quantise_angle(
         &self,
@@ -255,9 +246,11 @@ impl Geometry {
         }
         let spt = z.sectors_per_track;
         let skew = self.track_index(cylinder, surface) as f64 * self.track_skew_frac;
-        let within = (angle - skew).rem_euclid(1.0);
+        let within = frac1(angle - skew);
+        // The epsilon absorbs float error when `angle` is exactly a sector
+        // start, so the inverse of `angle_of` returns that same sector.
         let sector = (within * spt as f64 - 1e-6).ceil().max(0.0) as u32 % spt;
-        let start = (skew + sector as f64 / spt as f64).rem_euclid(1.0);
+        let start = frac1(skew + sector as f64 / spt as f64);
         Some((start, sector, spt))
     }
 }
@@ -439,7 +432,10 @@ mod tests {
             for _ in 0..64 {
                 angle = (angle + 0.618_033_988_749_895).rem_euclid(1.0);
                 let (start, sector, spt) = g.quantise_angle(cyl, surf, angle).unwrap();
-                let want_sector = g.sector_at_angle(cyl, surf, angle).unwrap();
+                // The same reduction through libm `fmod`, as an oracle.
+                let skew = g.track_index(cyl, surf) as f64 * g.track_skew_frac;
+                let within = (angle - skew).rem_euclid(1.0);
+                let want_sector = (within * spt as f64 - 1e-6).ceil().max(0.0) as u32 % spt;
                 assert_eq!(sector, want_sector, "sector at ({cyl},{surf},{angle})");
                 assert_eq!(spt, g.sectors_per_track(cyl).unwrap());
                 let want_angle = g
@@ -456,6 +452,9 @@ mod tests {
                 );
             }
         }
+        // A hair before track 0's origin (skew 0), `within` rounds up to
+        // 1.0 and the sector wraps to 0.
+        assert_eq!(g.quantise_angle(0, 0, -1e-20).map(|q| q.1), Some(0));
         // Out of range in either coordinate is None, matching the parts.
         assert!(g.quantise_angle(g.total_cylinders(), 0, 0.5).is_none());
         assert!(g.quantise_angle(0, g.surfaces(), 0.5).is_none());

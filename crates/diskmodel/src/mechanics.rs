@@ -2,23 +2,30 @@
 
 use mimd_sim::{SimDuration, SimTime};
 
-/// Reduces an angle to the canonical `[0, 1)` revolution fraction.
+/// `x.rem_euclid(1.0)`, bit for bit, without the libm `fmod` call.
 ///
-/// The scheduler's inner loop only ever passes angle *differences* in
-/// `(-1, 1)`; for those the fast paths below are bit-identical to
-/// `rem_euclid(1.0)` (`fmod` of `|x| < 1` by one returns `x` unchanged,
-/// so the reduction is at most the same single add) without the `fmod`
-/// libcall.
+/// `fmod(x, 1)` is exact, so `rem_euclid` rounds once, in its `r + 1`
+/// for negative `x`. `x - floor(x)` is the same real number with the
+/// same single rounding: exact for `x >= 0`, and
+/// `(x - ceil(x)) + 1` for negative non-integers. The two forms part
+/// only on the sign of a zero result: `rem_euclid` keeps the sign of `x`
+/// (`-0.0` for `-0.0` and negative integers), and the subtraction gives
+/// `+0.0`. NaN and ±inf give NaN either way.
+#[inline]
+pub fn frac1(x: f64) -> f64 {
+    let r = x - x.floor();
+    if r == 0.0 {
+        0.0f64.copysign(x)
+    } else {
+        r
+    }
+}
+
+/// Reduces an angle to the canonical `[0, 1)` revolution fraction:
+/// [`frac1`], with the `1.0` a tiny negative rounds to folded to `0.0`.
 #[inline]
 pub fn mod1(x: f64) -> f64 {
-    if (0.0..1.0).contains(&x) {
-        return x;
-    }
-    if -1.0 < x && x < 0.0 {
-        let r = x + 1.0;
-        return if r >= 1.0 { 0.0 } else { r };
-    }
-    let r = x.rem_euclid(1.0);
+    let r = frac1(x);
     if r >= 1.0 {
         0.0
     } else {
@@ -110,6 +117,90 @@ impl ServiceBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The edge values named in [`frac1`]'s contract plus a log-uniform
+    /// random spread over `[1e-300, 1e15)` of both signs.
+    fn probe_values() -> Vec<f64> {
+        let two52 = (1u64 << 52) as f64;
+        let mut v = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            -2.0,
+            -3.0,
+            -1e15,
+            -1e-20,
+            -f64::MIN_POSITIVE,
+            -f64::EPSILON,
+            1.0,
+            0.5,
+            -0.5,
+            1.0 - f64::EPSILON,
+            two52,
+            two52 - 0.5,
+            two52 + 1.0,
+            -two52,
+            -(two52 - 0.5),
+            -(two52 + 1.0),
+            2.0 * two52,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = mimd_sim::SimRng::named(12, "frac1-probe");
+        for _ in 0..4_000 {
+            let mag = 10f64.powf(mimd_sim::check::f64_in(&mut rng, -300.0, 15.0));
+            v.push(if rng.below(2) == 0 { mag } else { -mag });
+        }
+        v
+    }
+
+    /// Bits must match, except that any NaN matches any NaN.
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn frac1_is_bit_identical_to_rem_euclid() {
+        for x in probe_values() {
+            let (got, want) = (frac1(x), x.rem_euclid(1.0));
+            assert!(
+                same(got, want),
+                "frac1({x:e}) = {got:e}, rem_euclid = {want:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn mod1_matches_its_fast_path_form() {
+        // The form `mod1` had while `rem_euclid` still cost an `fmod`:
+        // two inline fast paths in front of the libm reduction.
+        fn fast_path_mod1(x: f64) -> f64 {
+            if (0.0..1.0).contains(&x) {
+                return x;
+            }
+            if -1.0 < x && x < 0.0 {
+                let r = x + 1.0;
+                return if r >= 1.0 { 0.0 } else { r };
+            }
+            let r = x.rem_euclid(1.0);
+            if r >= 1.0 {
+                0.0
+            } else {
+                r
+            }
+        }
+        for x in probe_values() {
+            let (got, want) = (mod1(x), fast_path_mod1(x));
+            assert!(
+                same(got, want),
+                "mod1({x:e}) = {got:e}, fast-path form = {want:e}"
+            );
+        }
+        assert_eq!(mod1(-1e-20).to_bits(), 0.0f64.to_bits());
+    }
 
     #[test]
     fn mod1_wraps_both_directions() {

@@ -12,8 +12,8 @@
 //!
 //! A job that can itself go parallel (an `ArraySim` running sharded) must
 //! size its internal worker count from [`shard_budget`], never from the
-//! machine's core count or `MIMD_THREADS` directly. The budget divides
-//! the machine's cores by the number of pool workers currently active, so
+//! machine's core count or `MIMD_THREADS` directly. Each pool worker's
+//! budget is its spawner's budget divided by the pool's worker count, so
 //! `jobs × shards` never oversubscribes the machine: 8 grid cells on an
 //! 8-core box each get a budget of 1 (stay serial), while a single
 //! engine-scaling job gets the whole machine.
@@ -23,6 +23,7 @@
 //! flight. Every other job still runs to completion; afterwards the map
 //! panics once with the index and payload of each failed job.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -42,27 +43,32 @@ pub fn configured_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Worker threads currently claimed by in-flight [`parallel_map`] calls
-/// (0 when none is running). Bookkeeping only — never used to order or
-/// gate simulation work, so it cannot affect results.
-static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's nested-parallelism budget, set on each pool worker
+    /// as [`parallel_map_with`] spawns it; 0 on threads no pool spawned.
+    /// Bookkeeping only — never used to order or gate simulation work, so
+    /// it cannot affect results.
+    static BUDGET: Cell<usize> = const { Cell::new(0) };
+}
 
 /// The thread budget available to one pool job for *nested* parallelism
-/// (e.g. `ArraySim::set_parallelism`): the machine's cores divided by the
-/// pool workers currently active, never below 1.
+/// (e.g. `ArraySim::set_parallelism`), never below 1.
 ///
 /// Called outside any `parallel_map`, this is the machine's available
-/// parallelism. Called from inside a job, it shrinks so that every
-/// concurrently-running job can use its budget without the combined
-/// thread count exceeding the machine. Deliberately based on available
-/// cores, not `MIMD_THREADS`: the env var sizes the *pool*, while the
-/// budget guards the *machine*.
+/// parallelism. Called from inside a job, it is the spawning thread's
+/// budget divided by the map's worker count, so every concurrently
+/// running job of that pool can use its budget without the combined
+/// thread count exceeding what the pool was given. The budget belongs to
+/// the pool's own threads, so concurrent pools never see each other's
+/// workers. Deliberately based on available cores, not `MIMD_THREADS`:
+/// the env var sizes the *pool*, while the budget guards the *machine*.
 pub fn shard_budget() -> usize {
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let active = ACTIVE_WORKERS.load(Ordering::Relaxed).max(1);
-    (avail / active).max(1)
+    match BUDGET.with(Cell::get) {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        b => b,
+    }
 }
 
 /// The panic payload of one failed job, rendered for the aggregate error.
@@ -153,11 +159,12 @@ where
     let cursor = AtomicUsize::new(0);
     let mut indexed: Vec<(usize, R)> = Vec::with_capacity(n);
     let mut failures: Vec<(usize, String)> = Vec::new();
-    ACTIVE_WORKERS.fetch_add(threads, Ordering::Relaxed);
+    let budget = (shard_budget() / threads).max(1);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
+                    BUDGET.with(|b| b.set(budget));
                     let mut local: Vec<(usize, R)> = Vec::new();
                     let mut broken: Vec<(usize, String)> = Vec::new();
                     loop {
@@ -185,7 +192,6 @@ where
             failures.extend(broken);
         }
     });
-    ACTIVE_WORKERS.fetch_sub(threads, Ordering::Relaxed);
     failures.sort_by_key(|(i, _)| *i);
     raise_job_panics(failures);
     indexed.sort_by_key(|(i, _)| *i);
@@ -255,16 +261,20 @@ mod tests {
             .unwrap_or(1);
         assert_eq!(shard_budget(), avail, "idle budget is the whole machine");
         // Inside a 2-worker map every job sees a budget that two
-        // concurrent jobs can spend without oversubscribing; results still
-        // arrive exactly once, in order.
+        // concurrent jobs can spend without oversubscribing, and a nested
+        // 2-worker map splits it again; results still arrive exactly
+        // once, in order. Pools running concurrently in other tests share
+        // no budget state with this one.
+        let half = (avail / 2).max(1);
         let jobs: Vec<u64> = (0..64).collect();
-        let got = parallel_map_with(2, jobs, |&x| (x * 2, shard_budget()));
-        for (i, &(r, b)) in got.iter().enumerate() {
-            assert_eq!(r, 2 * i as u64, "claims cover every job exactly once");
-            assert!(
-                b >= 1 && b <= (avail / 2).max(1),
-                "budget {b} with 2 workers on {avail} cores"
-            );
+        let got = parallel_map_with(2, jobs, |&x| {
+            let nested = parallel_map_with(2, vec![0u8, 1], |_| shard_budget());
+            (x * 2, shard_budget(), nested)
+        });
+        for (i, (r, b, nested)) in got.iter().enumerate() {
+            assert_eq!(*r, 2 * i as u64, "claims cover every job exactly once");
+            assert_eq!(*b, half, "budget with 2 workers on {avail} cores");
+            assert_eq!(nested, &vec![(half / 2).max(1); 2], "nested budget");
         }
         assert_eq!(shard_budget(), avail, "budget restored after the map");
     }

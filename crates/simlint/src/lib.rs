@@ -15,8 +15,8 @@
 //!    structs, and a conservative name-based call graph reachable from
 //!    the sim entry points (`ArraySim::run*`/`::new`,
 //!    `EventQueue::push`/`pop*`, `DriveQueue::pick*`);
-//! 3. the rules ([`rules`]) — seven line-pattern rules carried over
-//!    from the original scanner, plus three model-based shard-safety
+//! 3. the rules ([`rules`]) — eight line-pattern rules (seven carried
+//!    over from the original scanner), plus three model-based shard-safety
 //!    rules ([`Rule::SharedMutability`], [`Rule::FloatOrder`],
 //!    [`Rule::RngProvenance`]).
 //!
@@ -68,6 +68,9 @@ pub enum Rule {
     /// `SimRng` construction that does not flow from `SimRng::named`
     /// with a string-literal stream name.
     RngProvenance,
+    /// A revolution-fraction reduction through libm `fmod`
+    /// (`rem_euclid(1.0)`, `% 1.0`) instead of `mimd_disk::frac1`.
+    FloatFmod,
 }
 
 impl Rule {
@@ -84,6 +87,7 @@ impl Rule {
             Rule::SharedMutability => "shared-mutability",
             Rule::FloatOrder => "float-order",
             Rule::RngProvenance => "rng-provenance",
+            Rule::FloatFmod => "float-fmod",
         }
     }
 
@@ -100,6 +104,7 @@ impl Rule {
             "shared-mutability" => Some(Rule::SharedMutability),
             "float-order" => Some(Rule::FloatOrder),
             "rng-provenance" => Some(Rule::RngProvenance),
+            "float-fmod" => Some(Rule::FloatFmod),
             _ => None,
         }
     }
@@ -198,6 +203,7 @@ pub struct Scope {
     pub(crate) shared_mutability: bool,
     pub(crate) float_order: bool,
     pub(crate) rng_provenance: bool,
+    pub(crate) float_fmod: bool,
 }
 
 impl Scope {
@@ -213,6 +219,7 @@ impl Scope {
         shared_mutability: false,
         float_order: false,
         rng_provenance: false,
+        float_fmod: false,
     };
 
     /// Derives the applicable rules from a workspace-relative path
@@ -253,6 +260,11 @@ impl Scope {
             // Workspace-wide: a SimRng exists only to feed sim code. The
             // constructor's own home and the analyzer are the exceptions.
             rng_provenance: any_src && rel != "crates/simcore/src/rng.rs" && !in_src_of("simlint"),
+            float_fmod: in_src_of("simcore")
+                || in_src_of("diskmodel")
+                || in_src_of("core")
+                || in_src_of("workloads")
+                || in_src_of("harness"),
         }
     }
 
@@ -517,6 +529,26 @@ mod tests {
         assert!(!Scope::for_path("crates/simcore/src/rng.rs").rng_provenance);
         assert!(Scope::for_path("crates/simcore/src/rng.rs").shared_mutability);
         assert!(!Scope::for_path("crates/simlint/src/rules/shard.rs").rng_provenance);
+    }
+
+    #[test]
+    fn float_fmod_scope_and_forms() {
+        for p in [
+            "crates/simcore/src/event.rs",
+            "crates/diskmodel/src/geometry.rs",
+            "crates/core/src/layout/mod.rs",
+            "crates/workloads/src/synth.rs",
+            "crates/harness/src/grid.rs",
+        ] {
+            assert!(Scope::for_path(p).float_fmod, "{p}");
+        }
+        assert!(!Scope::for_path("crates/bench/src/bin/tab02_headtracking.rs").float_fmod);
+        assert!(!Scope::for_path("crates/simlint/src/rules/line.rs").float_fmod);
+        let src = "fn f(x: f64) -> f64 {\n    let a = x.rem_euclid( 1.0 );\n    \
+                   let b = x%1.0f64;\n    let c = x % 1.0e3 + x.rem_euclid(1.05);\n    \
+                   a + b + c\n}\n";
+        let v = lint_source(SIM, src);
+        assert_eq!(active(&v), vec![(2, Rule::FloatFmod), (3, Rule::FloatFmod)]);
     }
 
     #[test]

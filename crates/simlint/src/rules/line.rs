@@ -218,6 +218,24 @@ const FAULT_RNG: [(&str, &str); 2] = [
     ),
 ];
 
+/// Whether a masked code line reduces a float modulo one through libm
+/// `fmod`: `rem_euclid(1.0)`, `% 1.0`, or `%= 1.0`, whitespace-insensitive,
+/// with or without an `f64` suffix.
+fn has_float_fmod(code: &str) -> bool {
+    let squashed: String = code.chars().filter(|c| !c.is_whitespace()).collect();
+    ["rem_euclid(1.0", "%1.0", "%=1.0"].iter().any(|pat| {
+        squashed.match_indices(pat).any(|(at, _)| {
+            let rest = &squashed[at + pat.len()..];
+            let rest = rest
+                .strip_prefix("_f64")
+                .or_else(|| rest.strip_prefix("f64"))
+                .unwrap_or(rest);
+            // The literal is `1.0` itself, not `1.05` or `1.0e3`.
+            !rest.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_' || c == '.')
+        })
+    })
+}
+
 /// Runs every in-scope line rule over a lexed file.
 pub fn check(rel: &str, scope: &Scope, lx: &Lexed, out: &mut Vec<Finding>) {
     for (idx, line) in lx.lines.iter().enumerate() {
@@ -289,6 +307,14 @@ pub fn check(rel: &str, scope: &Scope, lx: &Lexed, out: &mut Vec<Finding>) {
                     push(Rule::FaultDeterminism, format!("`{needle}`: {why}"));
                 }
             }
+        }
+        if scope.float_fmod && has_float_fmod(code) {
+            push(
+                Rule::FloatFmod,
+                "revolution fraction through a libm `fmod` call; use `mimd_disk::frac1` \
+                 (bit-identical to `rem_euclid(1.0)`, no libcall)"
+                    .to_string(),
+            );
         }
         if scope.cache_hygiene {
             for needle in FS_WRITES {
