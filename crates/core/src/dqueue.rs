@@ -9,28 +9,27 @@
 //!
 //! - Entries live in a **slab** with stable, generation-tagged
 //!   [`TaskId`]s; queues and indexes store ids, never moved structs.
-//! - **SATF/RSATF** maintain a *rotational band index* in
-//!   struct-of-arrays form: every candidate (entry × replica) lives in
-//!   the per-cylinder-band [`BandLanes`] — flat, parallel columns of
-//!   arrival seq, packed identity key (slot, cylinder, surface, replica,
-//!   write flag), memoised phase, and offset-free base angle. A pick
-//!   walks occupied bands outward from the arm, skips any band whose
-//!   seek lower bound exceeds the incumbent's cost (one integer compare
-//!   against the inverse seek curve), and gathers surviving lanes into
-//!   scratch columns flushed through [`SimDisk::sched_cost_batch`] a
-//!   chunk at a time, folding each chunk into a scalar
+//! - **SATF/RSATF** maintain a *cylinder-band index*: every candidate
+//!   (entry × replica) is a plain lane record — arrival seq, slot,
+//!   cylinder, surface, replica index, write flag, memoised phase and
+//!   offset-free base angle — in the vector of its band of `BAND_CYLS`
+//!   cylinders, with an occupancy bitmap over the bands. A pick walks
+//!   occupied bands outward from the arm, stops once the next band's seek
+//!   lower bound exceeds the incumbent's cost, and costs every in-window
+//!   lane of each band it visits with
+//!   [`SimDisk::sched_cost_at_phase_ns`], folding it into a
 //!   `(cost, seq, candidate)` argmin.
 //! - **LOOK/RLOOK** maintain a sweep index (`BTreeMap` keyed by cylinder):
 //!   the next in-direction cylinder is one ordered lookup.
 //! - **FCFS** maintains an arrival-ordered set: the oldest entry is the
 //!   first element.
 //!
-//! The phase column memoises [`SimDisk::sched_phase`] per candidate at
-//! insert time. The phase folds in the disk's *mutable* spindle-phase
-//! offset, so each band carries an epoch stamp ([`SimDisk::phase_epoch`]);
-//! a pick repairs a stale band in place from the offset-free base-angle
-//! column before costing its lanes — no interior mutability, no
-//! per-evaluation re-quantisation.
+//! Each lane memoises [`SimDisk::sched_phase`] at insert time, so picks
+//! never re-quantise an angle. The phase folds in the disk's *mutable*
+//! spindle-phase offset, so each band carries an epoch stamp
+//! ([`SimDisk::phase_epoch`]); a pick repairs a stale band in place from
+//! the lanes' offset-free base angles before costing them — no interior
+//! mutability.
 //!
 //! # Exactness
 //!
@@ -43,19 +42,17 @@
 //!   tie-break `(cost, queue index, candidate)` is reproduced as
 //!   `(cost, seq, candidate)`.
 //! - The winner is the pure `(cost, seq, candidate)` argmin over every
-//!   candidate evaluated, which makes the band visit order, the gather
-//!   order *within* a band, and the chunk-flush boundaries irrelevant to
-//!   the result — only to how fast the incumbent tightens. Costing whole
-//!   bands therefore cannot change the winner: extra candidates in a
-//!   visited band cost at least the band's seek lower bound, and a band
-//!   is only skipped when that bound exceeds the current incumbent's
-//!   cost (which never rises), so every skipped candidate would have
-//!   lost outright.
+//!   candidate costed, so the band visit order and the lane order within
+//!   a band only decide how fast the incumbent tightens, never the
+//!   result. Every lane in a band costs at least the band's seek lower
+//!   bound, and the walk stops only when that bound *strictly* exceeds
+//!   the incumbent's cost (which never rises) — bands are visited in
+//!   ascending bound order, so every lane left unvisited would have lost
+//!   outright, and equal-cost ties are always costed.
 //! - Queues deeper than the scheduling window are masked, not rescanned:
 //!   `order` is seq-sorted, so the scan's window prefix is exactly the
 //!   lanes with seq below the first out-of-window entry's seq, and the
-//!   argmin ignores masked lanes. The evaluated set still bounds every
-//!   *eligible* candidate (band bounds hold for all members), so the
+//!   walk skips the rest. Band bounds hold for every member, so the
 //!   windowed argmin is exact too.
 //!
 //! One situation falls outside the band index's guarantees, and
@@ -71,34 +68,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mimd_disk::{mod1, PhaseFloorRuler, SimDisk};
+use mimd_disk::{SimDisk, Target};
 use mimd_sim::{SimDuration, SimTime};
 
 use crate::sched::{self, LookState, Policy, Schedulable};
 
 /// Cylinders per band of the SATF band index. Wide bands keep the walk's
 /// per-band fixed cost (cursor advance, seek bound, repair check) off the
-/// critical path: at typical queue depths a band holds a kernel-sized run
-/// of lanes, and the coarser distance prune costs at most one extra band
-/// visit per side.
+/// critical path: at typical queue depths a band holds a run of lanes, and
+/// the coarser distance prune costs at most one extra band visit per side.
 const BAND_CYLS: u32 = 64;
-
-/// Slack added to the incumbent's cost before the rotational lower-bound
-/// prune fires. The bound `seek_bound_ns + first-hit wait` is computed in
-/// f64 phase space while the kernel's cost is integer nanoseconds; the slop
-/// absorbs that rounding so a lane is only skipped when it is provably more
-/// than a microsecond worse than the incumbent — equal-cost lanes always
-/// reach the argmin and the legacy tie order is preserved.
-const ROT_PRUNE_SLOP_NS: u64 = 1_000;
-
-/// Below this many total lanes a SATF pick skips the outward band walk and
-/// costs everything in one gather + one kernel flush. The walk's prunes
-/// only pay for themselves once there are enough lanes to *skip*; on a
-/// shallow queue the per-band bookkeeping (cursor scans, bound compares,
-/// per-band flushes) costs more than just costing every lane. Same argmin
-/// over the same eligible lanes either way — this is a route choice, not a
-/// policy change.
-const SMALL_LANES: usize = 24;
 
 /// A stable handle to a slab-resident task.
 ///
@@ -117,65 +96,30 @@ struct Slot<S> {
     seq: u64,
 }
 
-/// Packed per-lane identity: `slot` (28 bits) | `cyl` (20 bits) |
-/// `surface` (8 bits) | `cand` (7 bits) | `write` (1 bit), most- to
-/// least-significant. One u64 load per lane covers everything the gather
-/// needs besides `seq` and `phase`, which keeps a band visit at three
-/// column streams instead of eight.
-#[inline]
-fn pack_key(slot: u32, cyl: u32, surface: u32, cand: u8, write: bool) -> u64 {
-    debug_assert!(slot < 1 << 28 && cyl < 1 << 20 && surface < 1 << 8 && cand < 1 << 7);
-    (slot as u64) << 36
-        | (cyl as u64) << 16
-        | (surface as u64) << 8
-        | (cand as u64) << 1
-        | u64::from(write)
-}
-
-#[inline]
-fn key_slot(k: u64) -> u32 {
-    (k >> 36) as u32
-}
-
-#[inline]
-fn key_cyl(k: u64) -> u32 {
-    (k >> 16) as u32 & 0xF_FFFF
-}
-
-#[inline]
-fn key_surface(k: u64) -> u32 {
-    (k >> 8) as u32 & 0xFF
-}
-
-#[inline]
-fn key_cand(k: u64) -> u8 {
-    (k >> 1) as u8 & 0x7F
-}
-
-#[inline]
-fn key_write(k: u64) -> u8 {
-    k as u8 & 1
-}
-
-/// One cylinder band of the SATF index in struct-of-arrays form: lane `i`
-/// across every column describes one candidate (entry × replica). The
-/// layout feeds the pick's gather loop directly — eligible lanes stream
-/// into the scratch columns for [`SimDisk::sched_cost_batch`].
-#[derive(Debug, Default)]
-struct BandLanes {
+/// One SATF/RSATF candidate (entry × replica) in the band index.
+#[derive(Debug)]
+struct Lane {
     /// Arrival sequence number (the scan's queue-position tie-break key).
-    seq: Vec<u64>,
-    /// Packed lane identity — see [`pack_key`].
-    key: Vec<u64>,
-    /// Memoised effective target phase ([`SimDisk::sched_phase`]), filled
-    /// at insert. Phases fold in the disk's mutable spindle-phase offset,
-    /// so they are valid only while `epoch` matches
-    /// [`SimDisk::phase_epoch`].
-    phase: Vec<f64>,
+    seq: u64,
+    slot: u32,
+    cylinder: u32,
+    surface: u32,
+    /// Replica index within the entry's candidates.
+    cand: u32,
+    write: bool,
+    /// Memoised effective target phase ([`SimDisk::sched_phase`]), valid
+    /// only while the band's `epoch` matches [`SimDisk::phase_epoch`].
+    phase: f64,
     /// Offset-free quantised target angle ([`SimDisk::sched_base_angle`]).
-    /// Geometry-pure and immutable, so stale phases repair from it without
-    /// touching the slab. Cold: only read when `epoch` is stale.
-    base_angle: Vec<f64>,
+    /// Geometry-pure and immutable, so a stale phase repairs from it
+    /// without touching the slab.
+    base_angle: f64,
+}
+
+/// One cylinder band of the SATF index.
+#[derive(Debug, Default)]
+struct Band {
+    lanes: Vec<Lane>,
     /// [`SimDisk::phase_epoch`] when the band's phases were last known
     /// fresh. One stamp covers the whole band: re-folding a phase from its
     /// base angle is idempotent, so a stale stamp triggers one whole-band
@@ -183,116 +127,6 @@ struct BandLanes {
     /// a stale band is re-folded redundantly on the next repair, which
     /// reproduces the same value.
     epoch: u32,
-}
-
-impl BandLanes {
-    fn len(&self) -> usize {
-        self.seq.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.seq.is_empty()
-    }
-
-    fn push(&mut self, seq: u64, key: u64, phase: f64, base_angle: f64, epoch: u32) {
-        if self.seq.is_empty() {
-            self.epoch = epoch;
-        }
-        self.seq.push(seq);
-        self.key.push(key);
-        self.phase.push(phase);
-        self.base_angle.push(base_angle);
-    }
-
-    fn swap_remove(&mut self, i: usize) {
-        self.seq.swap_remove(i);
-        self.key.swap_remove(i);
-        self.phase.swap_remove(i);
-        self.base_angle.swap_remove(i);
-    }
-
-    fn clear(&mut self) {
-        self.seq.clear();
-        self.key.clear();
-        self.phase.clear();
-        self.base_angle.clear();
-    }
-}
-
-/// Reused per-pick gather/output lanes for the batch kernel. A SATF pick
-/// copies the eligible lanes into these contiguous columns and flushes
-/// them through [`SimDisk::sched_cost_batch`] a chunk at a time, so the
-/// kernel's fixed cost is amortised per chunk. Plain scratch: overwritten
-/// every pick, never read across picks.
-#[derive(Debug, Default)]
-struct PickScratch {
-    seq: Vec<u64>,
-    key: Vec<u64>,
-    write: Vec<u8>,
-    dist: Vec<u32>,
-    surface: Vec<u32>,
-    phase: Vec<f64>,
-    pos: Vec<u64>,
-    rot: Vec<u64>,
-}
-
-impl PickScratch {
-    fn clear(&mut self) {
-        self.seq.clear();
-        self.key.clear();
-        self.write.clear();
-        self.dist.clear();
-        self.surface.clear();
-        self.phase.clear();
-    }
-
-    /// Costs every gathered lane in one batched pass, folds them into the
-    /// incumbent, and resets the gather columns. Returns whether the
-    /// incumbent's *cost* strictly improved (tie-break-only changes don't
-    /// move the prune threshold).
-    fn flush(
-        &mut self,
-        disk: &SimDisk,
-        now: SimTime,
-        slack_ns: u64,
-        best: &mut Option<(u64, u64, u8, u32)>,
-    ) -> bool {
-        let n = self.seq.len();
-        if n == 0 {
-            return false;
-        }
-        if self.pos.len() < n {
-            self.pos.resize(n, 0);
-            self.rot.resize(n, 0);
-        }
-        disk.sched_cost_batch(
-            now,
-            &self.dist,
-            &self.surface,
-            &self.write,
-            &self.phase,
-            &mut self.pos[..n],
-            &mut self.rot[..n],
-        );
-        let rot_penalty = disk.rotation_ns();
-        let mut improved = false;
-        for i in 0..n {
-            let cost = self.pos[i] + u64::from(self.rot[i] < slack_ns) * rot_penalty;
-            let cand = key_cand(self.key[i]);
-            let wins = match *best {
-                None => true,
-                Some((bcost, bseq, bcand, _)) => {
-                    cost < bcost || (cost == bcost && (self.seq[i], cand) < (bseq, bcand))
-                }
-            };
-            if wins {
-                improved |= best.is_none_or(|(bcost, ..)| cost < bcost);
-                *best = Some((cost, self.seq[i], cand, key_slot(self.key[i])));
-            }
-        }
-        self.clear();
-        improved
-    }
 }
 
 /// A drive queue with incremental per-policy indexes. See the module docs.
@@ -306,14 +140,9 @@ pub struct DriveQueue<S: Schedulable> {
     next_seq: u64,
     /// SATF/RSATF: per-band candidate lanes, grown on demand to cover the
     /// highest cylinder seen.
-    bands: Vec<BandLanes>,
+    bands: Vec<Band>,
     /// One bit per band: set iff the band's lanes are non-empty.
     band_bits: Vec<u64>,
-    /// Total lanes across all bands (sum of candidate counts of queued
-    /// SATF/RSATF tasks); gates the shallow-queue fast path.
-    lane_count: usize,
-    /// Batch-kernel output lanes, reused across picks.
-    scratch: PickScratch,
     /// LOOK/RLOOK: cylinder → (enqueued ns, seq, slot) of primary targets.
     sweep: BTreeMap<u32, BTreeSet<(u64, u64, u32)>>,
     /// FCFS: (enqueued ns, seq, slot), oldest first.
@@ -331,8 +160,6 @@ impl<S: Schedulable> DriveQueue<S> {
             next_seq: 0,
             bands: Vec::new(),
             band_bits: Vec::new(),
-            lane_count: 0,
-            scratch: PickScratch::default(),
             sweep: BTreeMap::new(),
             fcfs: BTreeSet::new(),
         }
@@ -371,11 +198,10 @@ impl<S: Schedulable> DriveQueue<S> {
             s.gen = s.gen.wrapping_add(1);
             self.free.push(id.slot);
         }
-        for lanes in &mut self.bands {
-            lanes.clear();
+        for band in &mut self.bands {
+            band.lanes.clear();
         }
         self.band_bits.fill(0);
-        self.lane_count = 0;
         self.sweep.clear();
         self.fcfs.clear();
     }
@@ -461,15 +287,15 @@ impl<S: Schedulable> DriveQueue<S> {
     /// [`crate::sched::pick`] would on the arrival-order prefix of at most
     /// `window` entries, returning the winning id and replica index.
     ///
-    /// SATF/RSATF use the lane index at any depth (entries past the
+    /// SATF/RSATF use the band index at any depth (entries past the
     /// window are masked out of the argmin by sequence number) unless the
     /// drive's read-ahead buffer is on, which breaks the index's bound
     /// monotonicity and falls back to the windowed scan. LOOK and FCFS use
     /// their indexes when the whole queue fits in the window and fall back
     /// otherwise.
     ///
-    /// Takes `&mut self` only for lane repair and kernel scratch; the
-    /// logical queue state is unchanged.
+    /// Takes `&mut self` only for phase-memo repair; the logical queue
+    /// state is unchanged.
     pub fn pick(
         &mut self,
         disk: &SimDisk,
@@ -567,7 +393,7 @@ impl<S: Schedulable> DriveQueue<S> {
         // The scan only sees the arrival-order window prefix. `order` is
         // seq-sorted, so that prefix is exactly the lanes with seq below
         // the first out-of-window entry's seq; lanes at or past the cutoff
-        // stay in the index but are masked out of the argmin.
+        // stay in the index but are skipped.
         let cutoff = if self.order.len() > window {
             self.slots[self.order[window].slot as usize].seq
         } else {
@@ -575,108 +401,56 @@ impl<S: Schedulable> DriveQueue<S> {
         };
         let arm = disk.arm_cylinder();
         let arm_band = (arm / BAND_CYLS) as usize;
-        let nbands = self.bands.len();
         let slack_ns = slack.as_nanos();
         let epoch = disk.phase_epoch();
-        // Hoists the now-dependent part of `arrival_phase_floor`: the walk
-        // below prunes each lane against the earliest spindle phase it
-        // could possibly be served at, and the ruler makes that floor one
-        // fused multiply per lane instead of a full recomputation.
-        let period = disk.rotation_ns() as f64;
-        let ruler = disk.phase_floor_ruler(now);
-        let mut best: Option<(u64, u64, u8, u32)> = None; // (cost, seq, cand, slot)
-        if self.lane_count <= SMALL_LANES {
-            self.scratch.clear();
-            // Jump straight between occupied bands via the bitmap words —
-            // on a shallow queue most bands are empty and a linear
-            // occupancy scan would cost more than the gather itself.
-            for w in 0..self.band_bits.len() {
-                let mut bits = self.band_bits[w];
-                while bits != 0 {
-                    let band = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.repair_band(disk, epoch, band);
-                    self.gather_band(disk, &ruler, period, arm, band, cutoff, None);
-                }
-            }
-            self.scratch.flush(disk, now, slack_ns, &mut best);
-            let (_, seq, cand, slot) = best?;
-            let id = self.id_at(slot, seq)?;
-            return Some((id, cand as usize));
-        }
-        // `maxd` is the prune threshold in distance space: the largest
-        // tabulated arm distance whose seek fits inside the incumbent's
-        // cost. Skipping a band with `band_min_dist > maxd` is the same
-        // test as `seek_bound_ns(band_min_dist) > incumbent` (the seek
-        // curve is weakly monotone), but per band it is one integer
-        // compare. Recomputed only when the incumbent's cost improves.
-        let mut maxd = u32::MAX;
-        self.scratch.clear();
-        // Arm band first, flushed alone: it holds the nearest candidates,
-        // so an early incumbent makes the distance prune bite immediately.
-        if arm_band < nbands && self.band_occupied(arm_band) {
-            self.repair_band(disk, epoch, arm_band);
-            self.gather_band(disk, &ruler, period, arm, arm_band, cutoff, None);
-            if self.scratch.flush(disk, now, slack_ns, &mut best) {
-                maxd = disk.max_seek_dist_within_ns(best.map_or(u64::MAX, |(c, ..)| c));
-            }
-        }
-        // Walk outward, nearer cursor first; ties go upward. Band and
-        // flush order are perf-only — the winner is a pure
-        // (cost, seq, cand) argmin over everything flushed.
-        let mut up = if arm_band < nbands {
-            self.next_band_at_or_above(arm_band + 1)
-        } else {
-            None
-        };
-        let mut down = if arm_band > 0 {
-            self.next_band_at_or_below((arm_band - 1).min(nbands.saturating_sub(1)))
-        } else {
-            None
-        };
+        // (cost, seq, cand, slot) of the incumbent.
+        let mut best: Option<(u64, u64, u32, u32)> = None;
+        // Walk outward, nearer cursor first; ties go upward, so the arm's
+        // own band (distance 0) goes first.
+        let mut up = self.next_band_at_or_above(arm_band);
+        let mut down = arm_band
+            .checked_sub(1)
+            .and_then(|b| self.next_band_at_or_below(b));
         while up.is_some() || down.is_some() {
-            let du = up.map_or(u32::MAX, |b| self.band_min_dist(b, arm));
-            let dd = down.map_or(u32::MAX, |b| self.band_min_dist(b, arm));
+            let du = up.map_or(u32::MAX, |b| band_min_dist(b, arm));
+            let dd = down.map_or(u32::MAX, |b| band_min_dist(b, arm));
             let is_up = du <= dd;
             let (band, dist) = if is_up {
                 (up.unwrap_or_default(), du)
             } else {
                 (down.unwrap_or_default(), dd)
             };
-            if dist > maxd {
+            if best.is_some_and(|(c, ..)| disk.seek_bound_ns(dist) > c) {
                 // Every remaining band on this side is at least as far, and
                 // the other cursor (if live) is farther still: done.
                 break;
             }
             self.repair_band(disk, epoch, band);
-            let budget = best.map(|(c, ..)| c.saturating_add(ROT_PRUNE_SLOP_NS));
-            self.gather_band(disk, &ruler, period, arm, band, cutoff, budget);
-            // Flush whatever the band contributed right away: the handful
-            // of lanes that survive the rotational screen are exactly the
-            // ones that can move the incumbent, and folding them in now is
-            // what keeps `maxd` and the prune budget tight for the next
-            // band. Letting them sit until a large chunk accumulates
-            // (tempting, to amortise the kernel's fixed cost) leaves both
-            // prunes stale and the walk visits far more bands than it
-            // saves in kernel overhead.
-            if self.scratch.flush(disk, now, slack_ns, &mut best) {
-                maxd = disk.max_seek_dist_within_ns(best.map_or(u64::MAX, |(c, ..)| c));
+            for l in &self.bands[band].lanes {
+                if l.seq >= cutoff {
+                    continue;
+                }
+                // Costing at a supplied phase reads only the track.
+                let t = Target {
+                    cylinder: l.cylinder,
+                    surface: l.surface,
+                    angle: l.base_angle,
+                    sectors: 0,
+                };
+                let (pos, rot) = disk.sched_cost_at_phase_ns(now, &t, l.write, l.phase);
+                let cost = pos + u64::from(rot < slack_ns) * disk.rotation_ns();
+                if best.is_none_or(|b| (cost, l.seq, l.cand) < (b.0, b.1, b.2)) {
+                    best = Some((cost, l.seq, l.cand, l.slot));
+                }
             }
             if is_up {
-                up = if band + 1 < nbands {
-                    self.next_band_at_or_above(band + 1)
-                } else {
-                    None
-                };
+                up = self.next_band_at_or_above(band + 1);
             } else {
-                down = if band > 0 {
-                    self.next_band_at_or_below(band - 1)
-                } else {
-                    None
-                };
+                down = band
+                    .checked_sub(1)
+                    .and_then(|b| self.next_band_at_or_below(b));
             }
         }
-        self.scratch.flush(disk, now, slack_ns, &mut best);
         let (_, seq, cand, slot) = best?;
         let id = self.id_at(slot, seq)?;
         Some((id, cand as usize))
@@ -688,91 +462,14 @@ impl<S: Schedulable> DriveQueue<S> {
     /// were last known fresh. Re-folding is idempotent, so repairing lanes
     /// that were already fresh reproduces their phases exactly.
     fn repair_band(&mut self, disk: &SimDisk, epoch: u32, band: usize) {
-        let lanes = &mut self.bands[band];
-        if lanes.epoch == epoch {
+        let band = &mut self.bands[band];
+        if band.epoch == epoch {
             return;
         }
-        for i in 0..lanes.len() {
-            lanes.phase[i] = disk.phase_of_angle(lanes.base_angle[i]);
+        for l in &mut band.lanes {
+            l.phase = disk.phase_of_angle(l.base_angle);
         }
-        lanes.epoch = epoch;
-    }
-
-    /// Appends a band's *eligible* lanes — seq below `cutoff` (window
-    /// masking) — to the pick scratch. Gather-time filtering means masked
-    /// lanes are never costed and the flush argmin needs no per-lane
-    /// window check.
-    ///
-    /// When `budget` carries the incumbent's cost (plus
-    /// [`ROT_PRUNE_SLOP_NS`]), each lane is also screened against a
-    /// rotational lower bound before it is copied: the arm cannot reach the
-    /// lane's cylinder before `seek_bound_ns(dist)`, and from that instant
-    /// the head must still wait for the lane's angle to come around, so
-    /// `bound + first_hit_wait` underestimates the true positioning time.
-    /// Lanes whose underestimate already exceeds the budget can never win
-    /// the argmin and are skipped without being costed. The first-hit wait
-    /// is monotone in the arrival instant, so using the *earliest* arrival
-    /// (the seek bound) keeps the bound sound.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_band(
-        &mut self,
-        disk: &SimDisk,
-        ruler: &PhaseFloorRuler,
-        period: f64,
-        arm: u32,
-        band: usize,
-        cutoff: u64,
-        budget: Option<u64>,
-    ) {
-        let lanes = &self.bands[band];
-        let s = &mut self.scratch;
-        if cutoff == u64::MAX && budget.is_none() {
-            // Whole band eligible: straight column copies.
-            s.seq.extend_from_slice(&lanes.seq);
-            s.key.extend_from_slice(&lanes.key);
-            s.phase.extend_from_slice(&lanes.phase);
-            s.write.extend(lanes.key.iter().map(|&k| key_write(k)));
-            s.surface.extend(lanes.key.iter().map(|&k| key_surface(k)));
-            s.dist
-                .extend(lanes.key.iter().map(|&k| arm.abs_diff(key_cyl(k))));
-        } else {
-            for i in 0..lanes.len() {
-                if lanes.seq[i] >= cutoff {
-                    continue;
-                }
-                let k = lanes.key[i];
-                let dist = arm.abs_diff(key_cyl(k));
-                if let Some(budget) = budget {
-                    let bound = disk.seek_bound_ns(dist);
-                    let wait = (mod1(lanes.phase[i] - ruler.floor(bound)) * period) as u64;
-                    if bound.saturating_add(wait) > budget {
-                        continue;
-                    }
-                }
-                s.seq.push(lanes.seq[i]);
-                s.key.push(k);
-                s.phase.push(lanes.phase[i]);
-                s.write.push(key_write(k));
-                s.surface.push(key_surface(k));
-                s.dist.push(dist);
-            }
-        }
-    }
-
-    fn band_min_dist(&self, band: usize, arm: u32) -> u32 {
-        let lo = band as u32 * BAND_CYLS;
-        let hi = lo + (BAND_CYLS - 1);
-        if arm < lo {
-            lo - arm
-        } else {
-            arm.saturating_sub(hi)
-        }
-    }
-
-    fn band_occupied(&self, band: usize) -> bool {
-        self.band_bits
-            .get(band / 64)
-            .is_some_and(|w| w & (1 << (band % 64)) != 0)
+        band.epoch = epoch;
     }
 
     fn next_band_at_or_above(&self, from: usize) -> Option<usize> {
@@ -795,10 +492,8 @@ impl<S: Schedulable> DriveQueue<S> {
     }
 
     fn next_band_at_or_below(&self, from: usize) -> Option<usize> {
+        let from = from.min((self.band_bits.len() * 64).checked_sub(1)?);
         let (mut w, bit) = (from / 64, from % 64);
-        if w >= self.band_bits.len() {
-            return None;
-        }
         let mask = if bit == 63 {
             !0u64
         } else {
@@ -854,14 +549,25 @@ impl<S: Schedulable> DriveQueue<S> {
                 for (c, t) in task.candidates().iter().take(limit).enumerate() {
                     let band = (t.cylinder / BAND_CYLS) as usize;
                     if band >= self.bands.len() {
-                        self.bands.resize_with(band + 1, BandLanes::default);
+                        self.bands.resize_with(band + 1, Band::default);
                         self.band_bits.resize(self.bands.len().div_ceil(64), 0);
                     }
-                    let base = disk.sched_base_angle(t);
-                    let key = pack_key(id.slot, t.cylinder, t.surface, c as u8, write);
-                    self.bands[band].push(seq, key, disk.phase_of_angle(base), base, epoch);
+                    let base_angle = disk.sched_base_angle(t);
+                    let b = &mut self.bands[band];
+                    if b.lanes.is_empty() {
+                        b.epoch = epoch;
+                    }
+                    b.lanes.push(Lane {
+                        seq,
+                        slot: id.slot,
+                        cylinder: t.cylinder,
+                        surface: t.surface,
+                        cand: c as u32,
+                        write,
+                        phase: disk.phase_of_angle(base_angle),
+                        base_angle,
+                    });
                     self.band_bits[band / 64] |= 1 << (band % 64);
-                    self.lane_count += 1;
                 }
             }
         }
@@ -895,13 +601,12 @@ impl<S: Schedulable> DriveQueue<S> {
                 };
                 for t in task.candidates().iter().take(limit) {
                     let band = (t.cylinder / BAND_CYLS) as usize;
-                    let lanes = &mut self.bands[band];
+                    let lanes = &mut self.bands[band].lanes;
                     // `seq` alone identifies the entry; each loop pass
                     // removes one of its lanes in this band, so entries
                     // with several replicas in one band drain fully.
-                    if let Some(at) = lanes.seq.iter().position(|&s| s == seq) {
+                    if let Some(at) = lanes.iter().position(|l| l.seq == seq) {
                         lanes.swap_remove(at);
-                        self.lane_count -= 1;
                     }
                     if lanes.is_empty() {
                         self.band_bits[band / 64] &= !(1 << (band % 64));
@@ -910,6 +615,17 @@ impl<S: Schedulable> DriveQueue<S> {
             }
         }
         self.slots[id.slot as usize].task = Some(task);
+    }
+}
+
+/// Cylinder distance from `arm` to the nearest cylinder of `band`.
+fn band_min_dist(band: usize, arm: u32) -> u32 {
+    let lo = band as u32 * BAND_CYLS;
+    let hi = lo + (BAND_CYLS - 1);
+    if arm < lo {
+        lo - arm
+    } else {
+        arm.saturating_sub(hi)
     }
 }
 
@@ -939,24 +655,37 @@ mod tests {
     }
 
     fn disk() -> SimDisk {
-        SimDisk::new(
-            &DiskParams::st39133lwv(),
-            TimingPath::Detailed,
-            PositionKnowledge::Perfect,
-            7,
-        )
-        .unwrap()
+        disk_with(&DiskParams::st39133lwv())
     }
 
-    fn random_entry(rng: &mut SimRng, cyls: u32, max_at_us: u64) -> Entry {
+    fn disk_with(params: &DiskParams) -> SimDisk {
+        SimDisk::new(params, TimingPath::Detailed, PositionKnowledge::Perfect, 7).unwrap()
+    }
+
+    /// A random entry of 1–4 candidates on `d`, surfaces drawn from the
+    /// disk's full range. About one candidate in eight sits on the arm's
+    /// cylinder on another surface, so the zero-distance head switch (and,
+    /// for writes, its settle) is costed too.
+    fn random_entry(rng: &mut SimRng, d: &SimDisk, max_at_us: u64) -> Entry {
+        let cyls = u64::from(d.geometry().total_cylinders());
+        let surfaces = d.geometry().surfaces();
         let dr = 1 + rng.below(4) as usize;
         Entry {
             candidates: (0..dr)
-                .map(|k| Target {
-                    cylinder: rng.below(cyls as u64) as u32,
-                    surface: k as u32,
-                    angle: rng.unit(),
-                    sectors: 8,
+                .map(|_| {
+                    let (cylinder, surface) = if rng.below(8) == 0 {
+                        let hop = 1 + rng.below(u64::from(surfaces - 1)) as u32;
+                        (d.arm_cylinder(), (d.arm_surface() + hop) % surfaces)
+                    } else {
+                        let s = rng.below(u64::from(surfaces)) as u32;
+                        (rng.below(cyls) as u32, s)
+                    };
+                    Target {
+                        cylinder,
+                        surface,
+                        angle: rng.unit(),
+                        sectors: 8,
+                    }
                 })
                 .collect(),
             write: rng.below(4) == 0,
@@ -964,16 +693,16 @@ mod tests {
         }
     }
 
-    /// Every lane column of the band index must mirror the queue contents,
-    /// and every phase lane stamped with the current epoch must equal the
+    /// Every lane of the band index must mirror the queue contents, and
+    /// every phase in a band stamped with the current epoch must equal the
     /// disk's own `sched_phase` of its target.
     fn check_index(dq: &DriveQueue<Entry>, d: &SimDisk, mirror: &[Entry], ids: &[TaskId]) {
         if !matches!(dq.policy, Policy::Satf | Policy::Rsatf) {
             return;
         }
         // (band, seq, slot, cand, cyl, surface, write, phase bits)
-        type Lane = (usize, u64, u32, u8, u32, u32, u8, u64);
-        let mut want: Vec<Lane> = Vec::new();
+        type Row = (usize, u64, u32, u32, u32, u32, bool, u64);
+        let mut want: Vec<Row> = Vec::new();
         for (i, e) in mirror.iter().enumerate() {
             let id = ids[i];
             let seq = dq.slots[id.slot as usize].seq;
@@ -987,44 +716,39 @@ mod tests {
                     (t.cylinder / BAND_CYLS) as usize,
                     seq,
                     id.slot,
-                    c as u8,
+                    c as u32,
                     t.cylinder,
                     t.surface,
-                    u8::from(e.write),
+                    e.write,
                     d.sched_phase(t).to_bits(),
                 ));
             }
         }
-        let mut got: Vec<Lane> = Vec::new();
+        let mut got: Vec<Row> = Vec::new();
         let epoch = d.phase_epoch();
-        for (b, lanes) in dq.bands.iter().enumerate() {
-            assert_eq!(
-                dq.band_occupied(b),
-                !lanes.is_empty(),
-                "band bit desync at {b}"
-            );
-            for i in 0..lanes.len() {
+        for (b, band) in dq.bands.iter().enumerate() {
+            let bit = dq.band_bits[b / 64] & (1 << (b % 64)) != 0;
+            assert_eq!(bit, !band.lanes.is_empty(), "band bit desync at {b}");
+            for l in &band.lanes {
                 // A current-epoch band's phases must already be the
                 // repaired values; a stale band repairs from base angles.
-                let phase = if lanes.epoch == epoch {
-                    lanes.phase[i]
+                let phase = if band.epoch == epoch {
+                    l.phase
                 } else {
-                    d.phase_of_angle(lanes.base_angle[i])
+                    d.phase_of_angle(l.base_angle)
                 };
-                let k = lanes.key[i];
                 got.push((
                     b,
-                    lanes.seq[i],
-                    key_slot(k),
-                    key_cand(k),
-                    key_cyl(k),
-                    key_surface(k),
-                    key_write(k),
+                    l.seq,
+                    l.slot,
+                    l.cand,
+                    l.cylinder,
+                    l.surface,
+                    l.write,
                     phase.to_bits(),
                 ));
             }
         }
-        assert_eq!(dq.lane_count, got.len(), "lane count desynced");
         want.sort_unstable();
         got.sort_unstable();
         assert_eq!(got, want, "band index desynced");
@@ -1033,10 +757,15 @@ mod tests {
     /// The load-bearing equivalence property: on every randomized queue —
     /// built through interleaved inserts, removals, and in-place updates —
     /// the indexed pick must equal the windowed scan of `sched::pick`:
-    /// same entry, same replica, same sweep-direction side effect.
+    /// same entry, same replica, same sweep-direction side effect. The
+    /// spindle runs at a non-zero phase offset, and a second drive has 300
+    /// surfaces, more than fit in a byte.
     #[test]
     fn indexed_pick_matches_scan_on_randomized_queues() {
-        let cyls = DiskParams::st39133lwv().total_cylinders();
+        let many_heads = DiskParams {
+            surfaces: 300,
+            ..DiskParams::st39133lwv()
+        };
         let policies = [
             Policy::Fcfs,
             Policy::Look,
@@ -1045,11 +774,16 @@ mod tests {
             Policy::Rsatf,
         ];
         mimd_sim::check::check_cases("indexed pick equals scan", 40, |case, rng| {
-            let mut d = disk();
+            let mut d = if case % 2 == 0 {
+                disk()
+            } else {
+                disk_with(&many_heads)
+            };
+            d.set_phase_offset(0.05 + 0.9 * rng.unit());
             // Move the head somewhere interesting.
             let park = Target {
-                cylinder: rng.below(cyls as u64) as u32,
-                surface: 0,
+                cylinder: rng.below(u64::from(d.geometry().total_cylinders())) as u32,
+                surface: rng.below(u64::from(d.geometry().surfaces())) as u32,
                 angle: rng.unit(),
                 sectors: 8,
             };
@@ -1075,7 +809,7 @@ mod tests {
                     match rng.below(10) {
                         // Mostly inserts so queues get deep.
                         0..=5 => {
-                            let e = random_entry(rng, cyls, 1 + step * 10);
+                            let e = random_entry(rng, &d, 1 + step * 10);
                             ids.push(dq.insert(&d, e.clone()));
                             mirror.push(e);
                             check_index(&dq, &d, &mirror, &ids);
@@ -1094,7 +828,7 @@ mod tests {
                             // enqueued time, same arrival position.
                             if !mirror.is_empty() {
                                 let at = rng.below(mirror.len() as u64) as usize;
-                                let e = random_entry(rng, cyls, 1 + step * 10);
+                                let e = random_entry(rng, &d, 1 + step * 10);
                                 let ok = dq.replace_with(&d, ids[at], |t| {
                                     t.candidates = e.candidates.clone();
                                     t.write = e.write;
@@ -1147,7 +881,6 @@ mod tests {
     /// hit has bound 0 at any distance) and still agree with the scan.
     #[test]
     fn read_ahead_falls_back_and_matches() {
-        let cyls = DiskParams::st39133lwv().total_cylinders();
         let mut d = disk();
         d.set_read_ahead(true);
         let warm = Target {
@@ -1164,7 +897,7 @@ mod tests {
             let mut mirror = Vec::new();
             let mut ids = Vec::new();
             for _ in 0..24 {
-                let mut e = random_entry(&mut rng, cyls, 50);
+                let mut e = random_entry(&mut rng, &d, 50);
                 // Make some candidates buffered-track hits.
                 if rng.below(3) == 0 {
                     e.candidates[0] = warm;
@@ -1207,7 +940,7 @@ mod tests {
                 let mut mirror = Vec::new();
                 let mut ids = Vec::new();
                 for _ in 0..32 {
-                    let e = random_entry(rng, cyls, 50);
+                    let e = random_entry(rng, &d, 50);
                     ids.push(dq.insert(&d, e.clone()));
                     mirror.push(e);
                 }
@@ -1225,29 +958,26 @@ mod tests {
         });
     }
 
-    /// `clear` must leave the index as if freshly built: no lanes, no
-    /// band bits, and a zero lane count, so a shallow refill takes the
-    /// small-queue route again and still picks like the scan.
+    /// `clear` must leave the index as if freshly built: no lanes and no
+    /// band bits, so a shallow refill still picks like the scan.
     #[test]
     fn clear_then_refill_keeps_the_index_exact() {
-        let cyls = DiskParams::st39133lwv().total_cylinders();
         mimd_sim::check::check_cases("clear then refill", 8, |_case, rng| {
             for policy in [Policy::Satf, Policy::Rsatf] {
                 let d = disk();
                 let now = d.busy_until();
                 let mut dq: DriveQueue<Entry> = DriveQueue::new(policy);
-                let deep: Vec<Entry> = (0..40).map(|_| random_entry(rng, cyls, 50)).collect();
+                let deep: Vec<Entry> = (0..40).map(|_| random_entry(rng, &d, 50)).collect();
                 let old: Vec<TaskId> = deep.iter().map(|e| dq.insert(&d, e.clone())).collect();
                 check_index(&dq, &d, &deep, &old);
                 dq.clear();
                 assert!(dq.is_empty());
                 assert!(old.iter().all(|&id| dq.get(id).is_none()));
                 check_index(&dq, &d, &[], &[]);
-                let mut mirror: Vec<Entry> = (0..4).map(|_| random_entry(rng, cyls, 50)).collect();
+                let mut mirror: Vec<Entry> = (0..4).map(|_| random_entry(rng, &d, 50)).collect();
                 let mut ids: Vec<TaskId> =
                     mirror.iter().map(|e| dq.insert(&d, e.clone())).collect();
                 check_index(&dq, &d, &mirror, &ids);
-                assert!(dq.lane_count <= SMALL_LANES, "refill is shallow");
                 while !mirror.is_empty() {
                     let mut look_a = LookState::default();
                     let mut look_b = LookState::default();
@@ -1351,7 +1081,7 @@ mod tests {
                     let mut mirror: Vec<Entry> = Vec::new();
                     let mut ids: Vec<TaskId> = Vec::new();
                     for _ in 0..depth {
-                        let e = random_entry(rng, cyls, 50);
+                        let e = random_entry(rng, &d, 50);
                         ids.push(dq.insert(&d, e.clone()));
                         mirror.push(e);
                     }

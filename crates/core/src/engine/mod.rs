@@ -19,13 +19,13 @@
 //! # Sharded execution
 //!
 //! The engine is split along the array's mirror-group boundary: one
-//! [`shard::Shard`] per group owns that group's disks, drive queues,
+//! `Shard` per group owns that group's disks, drive queues,
 //! calendar wheel, fault context, and named RNG streams (every physical
 //! consequence of a fragment — replicas, duplicates, retries, rebuild
 //! traffic — stays inside its group). `ArraySim` is the *conductor*: it
 //! routes each request's fragments to the owning shards as timestamped
-//! [`shard::Submission`]s and folds the shards' completion/health
-//! [`shard::Note`]s back into logical-request accounting.
+//! `Submission`s and folds the shards' completion/health
+//! `Note`s back into logical-request accounting.
 //!
 //! Two drive modes, chosen by configuration only (never by thread count):
 //!

@@ -375,63 +375,6 @@ pub(crate) struct Shard {
     task_pool: Vec<PendingTask>,
     write_scratch: Vec<Target>,
     group_scratch: Vec<Replica>,
-    /// Reused lanes for the idle-owner batched positioning probe.
-    probe: ProbeScratch,
-}
-
-/// Input/output lanes for costing one mirror group's replicas against one
-/// disk with [`SimDisk::sched_cost_batch`] (the mirrored/spared pick site
-/// of `dispatch_groups`).
-#[derive(Debug, Default)]
-struct ProbeScratch {
-    dist: Vec<u32>,
-    surface: Vec<u32>,
-    write: Vec<u8>,
-    phase: Vec<f64>,
-    pos: Vec<u64>,
-    rot: Vec<u64>,
-}
-
-impl ProbeScratch {
-    /// Minimum positioning cost over `g`'s replica targets on `disk`, via
-    /// one batched kernel call. Per replica this equals
-    /// `disk.estimate(now, &r.target, write).positioning().as_nanos()`
-    /// exactly, provided the drive has no read-ahead buffer (the caller
-    /// checks).
-    fn min_positioning_ns(
-        &mut self,
-        disk: &SimDisk,
-        now: SimTime,
-        write: bool,
-        g: &[Replica],
-    ) -> u64 {
-        let n = g.len();
-        let arm = disk.arm_cylinder();
-        self.dist.clear();
-        self.surface.clear();
-        self.phase.clear();
-        for r in g {
-            self.dist.push(arm.abs_diff(r.target.cylinder));
-            self.surface.push(r.target.surface);
-            self.phase.push(disk.sched_phase(&r.target));
-        }
-        self.write.clear();
-        self.write.resize(n, u8::from(write));
-        self.pos.clear();
-        self.pos.resize(n, 0);
-        self.rot.clear();
-        self.rot.resize(n, 0);
-        disk.sched_cost_batch(
-            now,
-            &self.dist,
-            &self.surface,
-            &self.write,
-            &self.phase,
-            &mut self.pos,
-            &mut self.rot,
-        );
-        self.pos.iter().copied().min().unwrap_or(u64::MAX)
-    }
 }
 
 impl Shard {
@@ -517,7 +460,6 @@ impl Shard {
             task_pool: Vec::new(),
             write_scratch: Vec::new(),
             group_scratch: Vec::new(),
-            probe: ProbeScratch::default(),
         }
     }
 
@@ -807,9 +749,9 @@ impl Shard {
             return;
         }
 
-        // Idle owners first: send to the idle head closest to a copy. One
-        // batched kernel call costs a whole group's replicas; strict `<`
-        // keeps the scalar `min_by_key`'s first-minimal tie rule.
+        // Idle owners first: send to the idle head closest to a copy (by
+        // positioning time, buffer hits included); strict `<` keeps the
+        // first minimal group.
         let base = self.base;
         let mut idle: Option<(&[Replica], u64)> = None;
         for g in groups.chunks_exact(dr) {
@@ -818,19 +760,11 @@ impl Shard {
                 continue;
             }
             let disk = &self.disks[l];
-            let key = if disk.read_ahead_enabled() {
-                // A buffered hit short-circuits positioning; stay scalar.
-                g.iter()
-                    .map(|r| {
-                        disk.estimate(now, &r.target, write)
-                            .positioning()
-                            .as_nanos()
-                    })
-                    .min()
-                    .unwrap_or(u64::MAX)
-            } else {
-                self.probe.min_positioning_ns(disk, now, write, g)
-            };
+            let key = g
+                .iter()
+                .map(|r| disk.sched_cost_ns(now, &r.target, write).0)
+                .min()
+                .unwrap_or(u64::MAX);
             if idle.is_none_or(|(_, k)| key < k) {
                 idle = Some((g, key));
             }

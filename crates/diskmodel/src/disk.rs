@@ -107,13 +107,6 @@ pub struct SimDisk {
     /// `rotation` in nanoseconds, cached for the scheduler's integer cost
     /// comparisons.
     rotation_ns: u64,
-    /// `u64::MAX / rotation_ns`: the Barrett-style reciprocal the batched
-    /// cost kernel uses for its per-lane `% rotation_ns`. Computed once
-    /// here so each kernel call skips the hardware divide.
-    rot_recip: u64,
-    /// Extra write settle: `seek_write(1) - seek(1)` in nanoseconds, the
-    /// head-switch surcharge for writes. Loop-invariant in the kernel.
-    write_settle_ns: u64,
     avg_spt: f64,
     arm_cylinder: u32,
     arm_surface: u32,
@@ -171,8 +164,6 @@ impl SimDisk {
         seed: u64,
     ) -> Self {
         let rotation = params.rotation_time();
-        let rotation_ns = rotation.as_nanos();
-        let write_settle_ns = seek.seek_write(1).saturating_sub(seek.seek(1)).as_nanos();
         SimDisk {
             avg_spt: geometry.avg_sectors_per_track(),
             geometry,
@@ -183,9 +174,7 @@ impl SimDisk {
             head_switch: params.head_switch,
             overhead: params.overhead,
             rotation,
-            rotation_ns,
-            rot_recip: u64::MAX / rotation_ns.max(1),
-            write_settle_ns,
+            rotation_ns: rotation.as_nanos(),
             arm_cylinder: 0,
             arm_surface: 0,
             read_ahead: false,
@@ -250,12 +239,7 @@ impl SimDisk {
         {
             return 0;
         }
-        let distance = self.arm_cylinder.abs_diff(target.cylinder);
-        if distance == 0 {
-            0
-        } else {
-            self.seek.seek_ns(distance)
-        }
+        self.seek_bound_ns(self.arm_cylinder.abs_diff(target.cylinder))
     }
 
     /// The seek-only lower bound for a cylinder `distance`, in nanoseconds:
@@ -435,7 +419,7 @@ impl SimDisk {
         // per-disk phase offset into the target.
         let rotation = self
             .spindle
-            .wait_until_angle(arrive, self.target_phase(angle));
+            .wait_until_angle(arrive, self.phase_of_angle(angle));
         ServiceBreakdown {
             overhead,
             seek,
@@ -470,7 +454,7 @@ impl SimDisk {
     /// when the epoch has moved.
     #[inline]
     pub fn sched_phase(&self, target: &Target) -> f64 {
-        self.target_phase(self.sched_base_angle(target))
+        self.phase_of_angle(self.sched_base_angle(target))
     }
 
     /// The quantised, pre-offset track angle [`SimDisk::sched_phase`]
@@ -494,128 +478,21 @@ impl SimDisk {
         }
     }
 
-    /// Folds the current spindle-phase offset into a pre-offset base angle
-    /// (from [`SimDisk::sched_base_angle`]): the repair half of an
-    /// epoch-stamped phase memo. Valid for the current
-    /// [`SimDisk::phase_epoch`] only.
+    /// Folds the current spindle-phase offset into a pre-offset angle
+    /// already reduced to `[0, 1)` (a quantised track angle, or a
+    /// [`SimDisk::sched_base_angle`]): the effective spindle phase the
+    /// target passes under the head at. Valid for the current
+    /// [`SimDisk::phase_epoch`] only, so it is also the repair half of an
+    /// epoch-stamped phase memo. The zero-offset fast path skips the
+    /// reduction and is value-exact: `angle - 0.0 == angle` and `mod1` is
+    /// the identity on `[0, 1)`.
     #[inline]
     pub fn phase_of_angle(&self, base_angle: f64) -> f64 {
-        self.target_phase(base_angle)
-    }
-
-    /// Batched [`SimDisk::sched_cost_at_phase_ns`] over struct-of-arrays
-    /// candidate lanes: cylinder distance from the current arm position,
-    /// target surface, write flag (0/1), and memoised effective phase
-    /// (from [`SimDisk::sched_phase`], epoch-repaired by the caller).
-    /// Writes the `(positioning, rotation)` nanosecond pair into
-    /// `pos_out`/`rot_out`.
-    ///
-    /// Every lane is bit-identical to the scalar call: the seek comes from
-    /// the same LUTs (gathered flat via [`SeekProfile::seek_ns_batch`] on
-    /// the all-read fast path), the arrival fold uses the same saturating
-    /// adds, and the rotation wait reduces the phase delta with the same
-    /// arithmetic `mod1` (two selects — the delta of two `[0, 1)` phases
-    /// always lies in `(-1, 1)`) before the same `round()`. Per-candidate
-    /// branching is gone: the loop body is select-based and call-free, so
-    /// it auto-vectorizes everywhere the LUT gather allows.
-    ///
-    /// Track read-ahead is *hoisted out*, not handled per lane: a potential
-    /// buffer hit costs `(0, 0)` regardless of distance, so callers on the
-    /// batched path must check [`SimDisk::read_ahead_enabled`] first and
-    /// fall back to the scalar scan (exactly as the band index already does
-    /// for its bound-monotonicity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes differ in length; debug-asserts that read-ahead
-    /// is disabled.
-    #[allow(clippy::too_many_arguments)] // flat SoA lanes are the point of the batch API
-    pub fn sched_cost_batch(
-        &self,
-        start: SimTime,
-        dist: &[u32],
-        surface: &[u32],
-        write: &[u8],
-        phase: &[f64],
-        pos_out: &mut [u64],
-        rot_out: &mut [u64],
-    ) {
-        let n = dist.len();
-        assert!(
-            surface.len() == n
-                && write.len() == n
-                && phase.len() == n
-                && pos_out.len() == n
-                && rot_out.len() == n,
-            "sched_cost_batch lane length mismatch"
-        );
-        debug_assert!(
-            !self.read_ahead,
-            "batched costing requires read-ahead hoisted out (use the scalar path)"
-        );
-        // Hoisted per-pick scalars: everything the scalar path re-derives
-        // per candidate.
-        let base_ns = (start + self.overhead).as_nanos();
-        let p = self.rotation_ns;
-        let pf = p as f64;
-        let arm_surface = self.arm_surface;
-        let hs_ns = self.head_switch.as_nanos();
-        let settle_ns = self.write_settle_ns;
-        // Barrett-style reciprocal for the per-lane `% p`: one u128
-        // multiply-high replaces a hardware divide the compiler cannot
-        // strength-reduce (p is loop-invariant but not a constant).
-        // `recip <= 2^64 / p` makes the estimated quotient an
-        // underestimate by at most 2, so the correction loop below runs at
-        // most twice and the remainder is *exactly* `arrive % p`.
-        let recip = self.rot_recip;
-
-        // Pass 1: the seek lane, into `pos_out`.
-        if write.iter().all(|&w| w == 0) {
-            self.seek.seek_ns_batch(dist, pos_out);
+        if self.phase_offset == 0.0 {
+            base_angle
         } else {
-            for i in 0..n {
-                pos_out[i] = if write[i] != 0 {
-                    self.seek.seek_write_ns(dist[i])
-                } else {
-                    self.seek.seek_ns(dist[i])
-                };
-            }
+            mod1(base_angle - self.phase_offset)
         }
-
-        // Pass 2: zero-distance repositioning fix-up, rotation wait, and
-        // the positioning sum — all selects, no branches.
-        for i in 0..n {
-            let zero_dist = dist[i] == 0;
-            let switch = if surface[i] != arm_surface {
-                hs_ns + if write[i] != 0 { settle_ns } else { 0 }
-            } else {
-                0
-            };
-            let seek = if zero_dist { switch } else { pos_out[i] };
-            let arrive = base_ns.saturating_add(seek);
-            let q = ((arrive as u128 * recip as u128) >> 64) as u64;
-            let mut rem = arrive - q * p;
-            while rem >= p {
-                rem -= p;
-            }
-            debug_assert_eq!(rem, arrive % p);
-            let angle = rem as f64 / pf;
-            let delta = phase[i] - angle;
-            let delta = if delta < 0.0 { delta + 1.0 } else { delta };
-            let delta = if delta >= 1.0 { 0.0 } else { delta };
-            let rot = (delta * pf).round() as u64;
-            pos_out[i] = seek.saturating_add(rot);
-            rot_out[i] = rot;
-        }
-    }
-
-    /// The largest cylinder distance whose read seek fits in `budget_ns`:
-    /// [`SeekProfile::max_dist_within_ns`] for this drive's fitted curve.
-    /// `d > max_seek_dist_within_ns(c)` holds exactly when
-    /// [`SimDisk::seek_bound_ns`]`(d) > c`.
-    #[inline]
-    pub fn max_seek_dist_within_ns(&self, budget_ns: u64) -> u32 {
-        self.seek.max_dist_within_ns(budget_ns)
     }
 
     /// [`SimDisk::sched_cost_ns`] with the effective phase supplied by the
@@ -640,48 +517,6 @@ impl SimDisk {
         let arrive = start + self.overhead + seek;
         let rotation = self.spindle.wait_until_angle(arrive, phase);
         ((seek + rotation).as_nanos(), rotation.as_nanos())
-    }
-
-    /// Raw spindle phase at the earliest arrival a candidate with seek
-    /// bound `seek_bound_ns` can manage: `now + overhead + bound`. This is
-    /// the reference point for rotational lower bounds — for any candidate
-    /// whose seek is at least the bound, `positioning >= bound +
-    /// mod1(sched_phase - floor) * rotation` (first-hit times are monotone
-    /// in the arrival instant). Raw, not offset-adjusted: effective phases
-    /// from [`SimDisk::sched_phase`] already fold the offset in.
-    #[inline]
-    pub fn arrival_phase_floor(&self, now: SimTime, seek_bound_ns: u64) -> f64 {
-        self.spindle
-            .angle_at(now + self.overhead + SimDuration::from_nanos(seek_bound_ns))
-    }
-
-    /// Hoists the `now`-dependent parts of [`SimDisk::arrival_phase_floor`]
-    /// so a band walk can take one floor per band without a hardware
-    /// division each time. [`PhaseFloorRuler::floor`] is bit-identical to
-    /// `arrival_phase_floor(now, b)` for every `b`.
-    #[inline]
-    pub fn phase_floor_ruler(&self, now: SimTime) -> PhaseFloorRuler {
-        let p = self.spindle.period().as_nanos();
-        debug_assert_eq!(p, self.rotation_ns);
-        PhaseFloorRuler {
-            t0_ns: (now + self.overhead).as_nanos(),
-            p,
-            pf: p as f64,
-            recip: self.rot_recip,
-        }
-    }
-
-    /// Folds the per-disk phase offset into an effective target angle
-    /// (already reduced to `[0, 1)`). The zero-offset fast path skips a
-    /// `rem_euclid` division and is value-exact: `angle - 0.0 == angle`
-    /// and `mod1` is the identity on `[0, 1)`.
-    #[inline]
-    fn target_phase(&self, angle: f64) -> f64 {
-        if self.phase_offset == 0.0 {
-            angle
-        } else {
-            mod1(angle - self.phase_offset)
-        }
     }
 
     /// Like [`SimDisk::estimate`], but without the per-command overhead:
@@ -820,33 +655,6 @@ impl SimDisk {
     }
 }
 
-/// See [`SimDisk::phase_floor_ruler`]. The Barrett step underestimates the
-/// quotient by at most 2, so the correction loop runs at most twice and the
-/// remainder is exact; the final divide is then the same f64 operation
-/// [`SimDisk::arrival_phase_floor`] performs, making `floor` bit-identical.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseFloorRuler {
-    t0_ns: u64,
-    p: u64,
-    pf: f64,
-    recip: u64,
-}
-
-impl PhaseFloorRuler {
-    /// `arrival_phase_floor(now, seek_bound_ns)` for the hoisted `now`.
-    #[inline]
-    pub fn floor(&self, seek_bound_ns: u64) -> f64 {
-        let t = self.t0_ns.saturating_add(seek_bound_ns);
-        let q = ((t as u128 * self.recip as u128) >> 64) as u64;
-        let mut rem = t - q * self.p;
-        while rem >= self.p {
-            rem -= self.p;
-        }
-        debug_assert_eq!(rem, t % self.p);
-        rem as f64 / self.pf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -918,188 +726,6 @@ mod tests {
         assert_eq!(pos, est.positioning().as_nanos());
         assert_eq!(rot, est.rotation.as_nanos());
         assert_eq!(pos, 0);
-    }
-
-    /// Splitmix-style generator for the property tests below: cheap,
-    /// deterministic, and independent of the simulator's own RNG streams.
-    fn mix(x: &mut u64) -> u64 {
-        *x = x.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = *x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    #[test]
-    fn sched_cost_batch_matches_scalar_randomized() {
-        for path in [TimingPath::Detailed, TimingPath::Analytic] {
-            let mut d = disk(path);
-            d.set_phase_offset(0.37);
-            let cyls = d.geometry().total_cylinders();
-            let surfaces = d.geometry().surfaces();
-            let mut x = 1234u64;
-            // Several arm positions: zero-distance and surface-switch lanes
-            // only exercise their select arms when the arm actually sits on
-            // the lane's cylinder/surface.
-            for round in 0..8u64 {
-                let park = Target {
-                    cylinder: (mix(&mut x) % u64::from(cyls)) as u32,
-                    surface: (mix(&mut x) % u64::from(surfaces)) as u32,
-                    angle: (round as f64) / 8.0,
-                    sectors: 8,
-                };
-                let _ = d.begin(SimTime::from_millis(round), &park, false);
-                let now = d.busy_until();
-                let arm = d.arm_cylinder();
-                let n = 257usize; // off any chunking boundary
-                let mut dist = Vec::new();
-                let mut surface = Vec::new();
-                let mut write = Vec::new();
-                let mut phase = Vec::new();
-                let mut targets = Vec::new();
-                for i in 0..n {
-                    let t = Target {
-                        // Mix in exact-arm lanes so dist == 0 occurs.
-                        cylinder: if i % 17 == 0 {
-                            arm
-                        } else {
-                            (mix(&mut x) % u64::from(cyls)) as u32
-                        },
-                        surface: if i % 5 == 0 {
-                            d.arm_surface()
-                        } else {
-                            (mix(&mut x) % u64::from(surfaces)) as u32
-                        },
-                        angle: (mix(&mut x) % 10_000) as f64 / 10_000.0,
-                        sectors: 1 + (mix(&mut x) % 64) as u32,
-                    };
-                    let w = i % 3 == 0;
-                    dist.push(arm.abs_diff(t.cylinder));
-                    surface.push(t.surface);
-                    write.push(u8::from(w));
-                    phase.push(d.sched_phase(&t));
-                    targets.push((t, w));
-                }
-                let mut pos = vec![0u64; n];
-                let mut rot = vec![0u64; n];
-                d.sched_cost_batch(now, &dist, &surface, &write, &phase, &mut pos, &mut rot);
-                for (i, (t, w)) in targets.iter().enumerate() {
-                    let (sp, sr) = d.sched_cost_at_phase_ns(now, t, *w, phase[i]);
-                    assert_eq!(
-                        (pos[i], rot[i]),
-                        (sp, sr),
-                        "{path:?} round={round} lane={i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sched_cost_batch_write_settle_path_matches_scalar() {
-        // All-write lanes route the seek pass through `seek_write_ns`
-        // (settle included) and surface switches add the write settle on
-        // top of the head switch; every lane must still match the scalar
-        // call bit-for-bit, and switching surfaces on a write must never
-        // be cheaper than the same read switch.
-        let mut d = disk(TimingPath::Detailed);
-        let park = Target {
-            cylinder: 4_000,
-            surface: 1,
-            angle: 0.25,
-            sectors: 8,
-        };
-        let _ = d.begin(SimTime::ZERO, &park, false);
-        let now = d.busy_until();
-        let arm = d.arm_cylinder();
-        let mut x = 77u64;
-        let n = 128usize;
-        let (mut dist, mut surface, mut phase, mut targets) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for i in 0..n {
-            let t = Target {
-                cylinder: if i % 7 == 0 {
-                    arm
-                } else {
-                    (mix(&mut x) % 9_000) as u32
-                },
-                surface: (i % d.geometry().surfaces() as usize) as u32,
-                angle: (mix(&mut x) % 10_000) as f64 / 10_000.0,
-                sectors: 8,
-            };
-            dist.push(arm.abs_diff(t.cylinder));
-            surface.push(t.surface);
-            phase.push(d.sched_phase(&t));
-            targets.push(t);
-        }
-        let writes = vec![1u8; n];
-        let reads = vec![0u8; n];
-        let mut wpos = vec![0u64; n];
-        let mut wrot = vec![0u64; n];
-        let mut rpos = vec![0u64; n];
-        let mut rrot = vec![0u64; n];
-        d.sched_cost_batch(now, &dist, &surface, &writes, &phase, &mut wpos, &mut wrot);
-        d.sched_cost_batch(now, &dist, &surface, &reads, &phase, &mut rpos, &mut rrot);
-        for (i, t) in targets.iter().enumerate() {
-            let (sp, sr) = d.sched_cost_at_phase_ns(now, t, true, phase[i]);
-            assert_eq!((wpos[i], wrot[i]), (sp, sr), "write lane {i}");
-            let (sp, sr) = d.sched_cost_at_phase_ns(now, t, false, phase[i]);
-            assert_eq!((rpos[i], rrot[i]), (sp, sr), "read lane {i}");
-        }
-    }
-
-    #[test]
-    fn sched_cost_batch_matches_scalar_across_read_ahead_boundary() {
-        // The batch kernel hoists track read-ahead out entirely, so it is
-        // only defined for read-ahead-off disks. Pin the boundary from both
-        // sides: with the buffer on, the *scalar* path serves exactly the
-        // buffered (cylinder, surface) for free and charges full
-        // positioning one track over; with the buffer off again, the batch
-        // kernel matches the scalar path even though `buffered_track` still
-        // points at the last track read.
-        let mut d = disk(TimingPath::Detailed);
-        d.set_read_ahead(true);
-        let t = Target {
-            cylinder: 500,
-            surface: 2,
-            angle: 0.3,
-            sectors: 16,
-        };
-        let _ = d.begin(SimTime::ZERO, &t, false);
-        let now = d.busy_until();
-        let hit = d.sched_cost_at_phase_ns(now, &t, false, d.sched_phase(&t));
-        assert_eq!(hit, (0, 0), "buffered track is free");
-        let next_surface = Target { surface: 3, ..t };
-        let next_cyl = Target { cylinder: 501, ..t };
-        for miss in [&next_surface, &next_cyl] {
-            let (pos, _) = d.sched_cost_at_phase_ns(now, miss, false, d.sched_phase(miss));
-            assert!(pos > 0, "adjacent track must pay positioning");
-        }
-        d.set_read_ahead(false);
-        for probe in [&t, &next_surface, &next_cyl] {
-            let ph = d.sched_phase(probe);
-            let dist = [d.arm_cylinder().abs_diff(probe.cylinder)];
-            let surf = [probe.surface];
-            let (mut pos, mut rot) = ([0u64; 1], [0u64; 1]);
-            d.sched_cost_batch(now, &dist, &surf, &[0], &[ph], &mut pos, &mut rot);
-            let scalar = d.sched_cost_at_phase_ns(now, probe, false, ph);
-            assert_eq!((pos[0], rot[0]), scalar);
-        }
-    }
-
-    #[test]
-    fn phase_floor_ruler_is_bit_identical_to_arrival_phase_floor() {
-        let mut d = disk(TimingPath::Detailed);
-        d.set_phase_offset(0.61);
-        let mut x = 5u64;
-        for _ in 0..5_000 {
-            let now = SimTime::from_nanos(mix(&mut x) % 400_000_000_000);
-            let ruler = d.phase_floor_ruler(now);
-            let bound = mix(&mut x) % 40_000_000;
-            let a = d.arrival_phase_floor(now, bound);
-            let b = ruler.floor(bound);
-            assert_eq!(a.to_bits(), b.to_bits(), "now={now:?} bound={bound}");
-        }
     }
 
     #[test]

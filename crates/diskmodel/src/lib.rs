@@ -41,7 +41,7 @@ pub mod params;
 pub mod seek;
 
 pub use device::{BlockDevice, DeviceError};
-pub use disk::{PhaseFloorRuler, PositionKnowledge, SimDisk, Target, TimingPath};
+pub use disk::{PositionKnowledge, SimDisk, Target, TimingPath};
 pub use geometry::{Chs, Geometry, ZoneInfo};
 pub use mechanics::{frac1, mod1, ServiceBreakdown, Spindle};
 pub use params::{DiskParams, ZoneSpec};

@@ -42,6 +42,9 @@ pub fn mod1(x: f64) -> f64 {
 #[derive(Debug, Clone, Copy)]
 pub struct Spindle {
     period: SimDuration,
+    /// `u64::MAX / period_ns`: the Barrett reciprocal that lets
+    /// [`Spindle::angle_at`] reduce `t % period` without a hardware divide.
+    recip: u64,
 }
 
 impl Spindle {
@@ -55,7 +58,10 @@ impl Spindle {
             period > SimDuration::ZERO,
             "rotation period must be positive"
         );
-        Spindle { period }
+        Spindle {
+            period,
+            recip: u64::MAX / period.as_nanos(),
+        }
     }
 
     /// Full-rotation time.
@@ -63,11 +69,24 @@ impl Spindle {
         self.period
     }
 
-    /// Platter phase (fraction of a revolution) at instant `t`.
+    /// Platter phase (fraction of a revolution) at instant `t`:
+    /// `(t % p) as f64 / p as f64` for period `p` in nanoseconds, bit for
+    /// bit.
+    ///
+    /// The remainder is a Barrett reduction: `recip = floor((2^64 - 1) / p)`
+    /// makes the estimated quotient `(t * recip) >> 64` an underestimate of
+    /// `t / p` by at most 2 for every `t < 2^64`, so the correction loop
+    /// runs at most twice and the remainder is exact.
     #[inline]
     pub fn angle_at(&self, t: SimTime) -> f64 {
         let p = self.period.as_nanos();
-        (t.as_nanos() % p) as f64 / p as f64
+        let t = t.as_nanos();
+        let q = ((t as u128 * self.recip as u128) >> 64) as u64;
+        let mut rem = t - q * p;
+        while rem >= p {
+            rem -= p;
+        }
+        rem as f64 / p as f64
     }
 
     /// Time to wait from instant `t` until the platter reaches `target`
@@ -218,6 +237,41 @@ mod tests {
         assert!((s.angle_at(SimTime::from_millis(3)) - 0.5).abs() < 1e-12);
         assert!((s.angle_at(SimTime::from_millis(9)) - 0.5).abs() < 1e-12);
         assert!((s.angle_at(SimTime::from_micros(1_500)) - 0.25).abs() < 1e-12);
+    }
+
+    /// The Barrett remainder in `angle_at` must reproduce the plain
+    /// `(t % p) as f64 / p as f64` to the bit: random `t` over the whole
+    /// `u64` range, exact multiples of `p` and their ±1 neighbours, and
+    /// `u64::MAX`, for drive-like and edge-case periods.
+    #[test]
+    fn angle_at_is_bit_identical_to_the_plain_remainder() {
+        let mut rng = mimd_sim::SimRng::named(13, "angle-at-probe");
+        for p in [
+            1u64,
+            2,
+            3,
+            7,
+            5_988_024,
+            6_000_000,
+            8_333_333,
+            1 << 32,
+            (1 << 63) + 1,
+            u64::MAX,
+        ] {
+            let s = Spindle::new(SimDuration::from_nanos(p));
+            let top = u64::MAX / p * p;
+            let mut ts = vec![0, 1, top, top - 1, u64::MAX, u64::MAX - 1];
+            for _ in 0..2_000 {
+                ts.push(rng.below(u64::MAX));
+                let kp = rng.below(u64::MAX / p) * p;
+                ts.extend([kp, kp.saturating_sub(1), kp + 1]);
+            }
+            for t in ts {
+                let want = (t % p) as f64 / p as f64;
+                let got = s.angle_at(SimTime::from_nanos(t));
+                assert_eq!(got.to_bits(), want.to_bits(), "p={p} t={t}");
+            }
+        }
     }
 
     #[test]

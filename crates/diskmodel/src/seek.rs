@@ -196,9 +196,9 @@ impl SeekProfile {
                 SimDuration::from_micros_f64(t + self.write_settle_us).as_nanos()
             });
         }
-        // Weak monotonicity underwrites `max_dist_within_ns`'s binary
-        // search (the analytic curve is strictly increasing; rounding to
-        // nanoseconds can only flatten it).
+        // Weak monotonicity underwrites the drive queue's band prune (the
+        // analytic curve is strictly increasing; rounding to nanoseconds
+        // can only flatten it).
         debug_assert!(read.windows(2).all(|w| w[0] <= w[1]));
         self.lut_ns = Arc::from(read);
         self.lut_write_ns = Arc::from(write);
@@ -252,64 +252,6 @@ impl SeekProfile {
             Some(&ns) => ns,
             None => self.seek(distance).as_nanos(),
         }
-    }
-
-    /// Write-seek nanoseconds for a cylinder distance — the raw write-table
-    /// entry (settle included), the integer twin of
-    /// [`SeekProfile::seek_write`]. Zero at distance 0, like `seek_write`.
-    #[inline]
-    pub fn seek_write_ns(&self, distance: u32) -> u64 {
-        if distance == 0 {
-            return 0;
-        }
-        match self.lut_write_ns.get(distance as usize) {
-            Some(&ns) => ns,
-            None => self.seek_write(distance).as_nanos(),
-        }
-    }
-
-    /// Batched [`SeekProfile::seek_ns`]: one flat pass of LUT gathers over a
-    /// lane of cylinder distances. Each output is bit-identical to the
-    /// scalar call; the in-domain body is branch-free (the bounds check
-    /// compiles to a select) and the analytic fallback only runs for
-    /// distances past the drive's last cylinder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes differ in length.
-    pub fn seek_ns_batch(&self, distances: &[u32], out: &mut [u64]) {
-        assert_eq!(
-            distances.len(),
-            out.len(),
-            "seek_ns_batch lane length mismatch"
-        );
-        let lut = &self.lut_ns[..];
-        for (o, &d) in out.iter_mut().zip(distances) {
-            *o = match lut.get(d as usize) {
-                Some(&ns) => ns,
-                None => self.seek(d).as_nanos(),
-            };
-        }
-    }
-
-    /// The largest cylinder distance whose read-seek time fits in
-    /// `budget_ns` — the inverse of the (weakly monotone) seek curve,
-    /// answered by one binary search over the tabulated LUT. Distance 0
-    /// always fits (`lut[0] == 0`). Returns `u32::MAX` on an un-tabulated
-    /// profile, i.e. "no distance can be ruled out", which is always safe
-    /// for callers that use the answer to prune.
-    ///
-    /// Band indexes use this to turn "skip every band whose seek lower
-    /// bound exceeds the incumbent's cost" into a pure integer comparison
-    /// per band: `band_min_dist > max_dist_within_ns(cost)` holds exactly
-    /// when `seek_ns(band_min_dist) > cost`.
-    #[inline]
-    pub fn max_dist_within_ns(&self, budget_ns: u64) -> u32 {
-        if self.lut_ns.is_empty() {
-            return u32::MAX;
-        }
-        let pp = self.lut_ns.partition_point(|&ns| ns <= budget_ns);
-        pp.saturating_sub(1) as u32
     }
 
     /// The regime-boundary distance found by the fit.
@@ -381,53 +323,6 @@ mod tests {
         let (_, s) = fitted();
         assert_eq!(s.seek(0), SimDuration::ZERO);
         assert_eq!(s.seek_write(0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn seek_ns_batch_matches_scalar_at_edges_and_randomized() {
-        let (p, s) = fitted();
-        let total = p.total_cylinders();
-        // Edge distances around both LUT boundaries (0 and the last
-        // tabulated cylinder), plus a pseudo-random sweep of the interior
-        // and a few past-the-end distances that hit the analytic fallback.
-        let mut dists: Vec<u32> = vec![0, 1, 2, total - 2, total - 1, total, total + 7];
-        let mut x = 9u64;
-        for _ in 0..4_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            dists.push((x >> 33) as u32 % (total + 32));
-        }
-        let mut out = vec![0u64; dists.len()];
-        s.seek_ns_batch(&dists, &mut out);
-        for (&d, &got) in dists.iter().zip(&out) {
-            assert_eq!(got, s.seek_ns(d), "distance {d}");
-        }
-    }
-
-    #[test]
-    fn max_dist_within_ns_is_dual_to_seek_bound() {
-        let (p, s) = fitted();
-        let total = p.total_cylinders();
-        // `d <= max_dist_within_ns(c)` must hold exactly when
-        // `seek_ns(d) <= c`: sample budgets across the whole curve,
-        // including exact LUT values (ties) and off-by-one nanoseconds.
-        for d in [1u32, 2, 17, 100, 999, total / 2, total - 1] {
-            let ns = s.seek_ns(d);
-            for budget in [ns.saturating_sub(1), ns, ns + 1] {
-                let m = s.max_dist_within_ns(budget);
-                assert!(
-                    s.seek_ns(m) <= budget,
-                    "d={d} budget={budget}: max {m} does not fit"
-                );
-                if m < total + 8 {
-                    assert!(
-                        s.seek_ns(m + 1) > budget,
-                        "d={d} budget={budget}: max {m} not maximal"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
