@@ -20,7 +20,7 @@ use crate::trace::Trace;
 
 /// Granularity (in sectors) at which read-after-write tracking buckets
 /// block addresses; 8 sectors = 4 KiB, a typical file-system block.
-const RAW_BUCKET_SECTORS: u64 = 8;
+pub(crate) const RAW_BUCKET_SECTORS: u64 = 8;
 
 /// Summary characteristics of a trace (the rows of Table 3).
 #[derive(Debug, Clone, PartialEq)]
