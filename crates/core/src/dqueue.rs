@@ -13,12 +13,12 @@
 //!   (entry × replica) is a plain lane record — arrival seq, slot,
 //!   cylinder, surface, replica index, write flag, memoised phase and
 //!   offset-free base angle — in the vector of its band of `BAND_CYLS`
-//!   cylinders, with an occupancy bitmap over the bands. A pick walks
-//!   occupied bands outward from the arm, stops once the next band's seek
-//!   lower bound exceeds the incumbent's cost, and costs every in-window
-//!   lane of each band it visits with
-//!   [`SimDisk::sched_cost_at_phase_ns`], folding it into a
-//!   `(cost, seq, candidate)` argmin.
+//!   cylinders, with an occupancy bitmap over the bands. Each band's lanes
+//!   stay sorted by base angle. A pick walks occupied bands outward from
+//!   the arm, stops once the next band's seek lower bound exceeds the
+//!   incumbent's cost, and in each band it visits costs only the arc of
+//!   lanes that can still win, with [`SimDisk::sched_cost_at_phase_ns`],
+//!   folding each into a `(cost, seq, candidate)` argmin.
 //! - **LOOK/RLOOK** maintain a sweep index (`BTreeMap` keyed by cylinder):
 //!   the next in-direction cylinder is one ordered lookup.
 //! - **FCFS** maintains an arrival-ordered set: the oldest entry is the
@@ -29,7 +29,10 @@
 //! spindle-phase offset, so each band carries an epoch stamp
 //! ([`SimDisk::phase_epoch`]); a pick repairs a stale band in place from
 //! the lanes' offset-free base angles before costing them — no interior
-//! mutability.
+//! mutability. The base angle is also the band's sort key. It is
+//! offset-free and immutable, so neither a phase change nor the repair
+//! ever reorders a band: the spindle offset only moves the origin the
+//! walk starts from.
 //!
 //! # Exactness
 //!
@@ -44,11 +47,30 @@
 //! - The winner is the pure `(cost, seq, candidate)` argmin over every
 //!   candidate costed, so the band visit order and the lane order within
 //!   a band only decide how fast the incumbent tightens, never the
-//!   result. Every lane in a band costs at least the band's seek lower
-//!   bound, and the walk stops only when that bound *strictly* exceeds
-//!   the incumbent's cost (which never rises) — bands are visited in
-//!   ascending bound order, so every lane left unvisited would have lost
-//!   outright, and equal-cost ties are always costed.
+//!   result. A lane is left uncosted only when a lower bound on its cost
+//!   *strictly* exceeds the incumbent's cost (which never rises), so every
+//!   such lane would have lost outright, and equal-cost ties are always
+//!   costed.
+//! - **Between bands**, the bound is the band's seek lower bound
+//!   ([`SimDisk::seek_bound_ns`] of its nearest cylinder). Bands are
+//!   visited in ascending bound order, and the walk stops at the first
+//!   band whose bound exceeds the incumbent.
+//! - **Within a band**, the bound is rotational ([`SimDisk::MARGIN_NS`]
+//!   states and proves it). Every lane of the band positions for at least
+//!   the band's seek bound `sb`. Set `lo = sb − MARGIN_NS` and
+//!   `start = origin + lo (mod P)`, with the origin from
+//!   [`SimDisk::sched_origin_ns`]. A lane `d` ns past `start` (cyclically,
+//!   in base-angle nanoseconds) then costs at least `lo + d − MARGIN_NS`.
+//!   For a lane just past `start` that is about the seek bound itself. The
+//!   lanes just before `start` pass under the head before the seek can
+//!   finish, so they cost at least a revolution more.
+//!   The walk binary-searches `start` in the band's base-angle order and
+//!   walks the lanes cyclically from there, in ascending `d`. It stops at
+//!   the first lane whose bound exceeds the incumbent, because every
+//!   later lane has a larger `d`. The lanes before `start` come last, so
+//!   they are reached only while the incumbent costs more than about a
+//!   revolution. The margin covers the nanosecond roundings of the frame
+//!   and of the wait, and the cyclic wrap at the cut.
 //! - Queues deeper than the scheduling window are masked, not rescanned:
 //!   `order` is seq-sorted, so the scan's window prefix is exactly the
 //!   lanes with seq below the first out-of-window entry's seq, and the
@@ -64,7 +86,9 @@
 //!
 //! The equivalence tests at the bottom drive randomized queues through
 //! both implementations and require identical picks — entry, replica, and
-//! sweep-direction side effects — across every policy.
+//! sweep-direction side effects — across every policy. One of them packs
+//! 256 entries into the two bands around the arm, so the search, the
+//! early stop and the cyclic wrap run on long bands.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -74,9 +98,10 @@ use mimd_sim::{SimDuration, SimTime};
 use crate::sched::{self, LookState, Policy, Schedulable};
 
 /// Cylinders per band of the SATF band index. Wide bands keep the walk's
-/// per-band fixed cost (cursor advance, seek bound, repair check) off the
-/// critical path: at typical queue depths a band holds a run of lanes, and
-/// the coarser distance prune costs at most one extra band visit per side.
+/// per-band fixed cost (cursor advance, seek bound, repair check, phase
+/// search) off the critical path: at typical queue depths a band holds a
+/// run of lanes, and the coarser distance prune costs at most one extra
+/// band visit per side.
 const BAND_CYLS: u32 = 64;
 
 /// A stable handle to a slab-resident task.
@@ -114,6 +139,11 @@ struct Lane {
     /// Geometry-pure and immutable, so a stale phase repairs from it
     /// without touching the slab.
     base_angle: f64,
+    /// `base_angle` in whole nanoseconds along the revolution
+    /// ([`SimDisk::angle_ns`]): the band's sort key and the walk's frame.
+    /// Offset-free and immutable, so neither a spindle-phase change nor
+    /// the epoch repair ever reorders a band.
+    base_ns: u64,
 }
 
 /// One cylinder band of the SATF index.
@@ -403,6 +433,8 @@ impl<S: Schedulable> DriveQueue<S> {
         let arm_band = (arm / BAND_CYLS) as usize;
         let slack_ns = slack.as_nanos();
         let epoch = disk.phase_epoch();
+        let p = disk.rotation_ns();
+        let origin = disk.sched_origin_ns(now);
         // (cost, seq, cand, slot) of the incumbent.
         let mut best: Option<(u64, u64, u32, u32)> = None;
         // Walk outward, nearer cursor first; ties go upward, so the arm's
@@ -420,13 +452,38 @@ impl<S: Schedulable> DriveQueue<S> {
             } else {
                 (down.unwrap_or_default(), dd)
             };
-            if best.is_some_and(|(c, ..)| disk.seek_bound_ns(dist) > c) {
+            let seek_bound = disk.seek_bound_ns(dist);
+            if best.is_some_and(|(c, ..)| seek_bound > c) {
                 // Every remaining band on this side is at least as far, and
                 // the other cursor (if live) is farther still: done.
                 break;
             }
             self.repair_band(disk, epoch, band);
-            for l in &self.bands[band].lanes {
+            // Every lane here positions for at least `seek_bound`, so with
+            // `lo = seek_bound − MARGIN_NS`, a lane `d` ns past `start =
+            // origin + lo` (mod P) costs at least `lo + d − MARGIN_NS` (see
+            // `SimDisk::MARGIN_NS`). Walk the band's phase-sorted lanes
+            // cyclically from `start`, and stop at the first whose bound
+            // exceeds the incumbent: every later lane lies further on.
+            // `origin + lo` reduced mod P; only seeks past a revolution
+            // need the divide.
+            let start = match origin + seek_bound + p - SimDisk::MARGIN_NS {
+                x if x < p => x,
+                x if x < 2 * p => x - p,
+                x => x % p,
+            };
+            let lo = seek_bound as i64 - SimDisk::MARGIN_NS as i64;
+            let mut reach = best.map_or(i64::MAX, |b| (b.0 + SimDisk::MARGIN_NS) as i64 - lo);
+            let lanes = &self.bands[band].lanes;
+            let split = lanes.partition_point(|l| l.base_ns < start);
+            let n = lanes.len();
+            for i in split..split + n {
+                let (at, turn) = if i < n { (i, 0) } else { (i - n, p) };
+                let l = &lanes[at];
+                let d = (l.base_ns + turn - start) as i64;
+                if d > reach {
+                    break;
+                }
                 if l.seq >= cutoff {
                     continue;
                 }
@@ -438,9 +495,10 @@ impl<S: Schedulable> DriveQueue<S> {
                     sectors: 0,
                 };
                 let (pos, rot) = disk.sched_cost_at_phase_ns(now, &t, l.write, l.phase);
-                let cost = pos + u64::from(rot < slack_ns) * disk.rotation_ns();
+                let cost = pos + u64::from(rot < slack_ns) * p;
                 if best.is_none_or(|b| (cost, l.seq, l.cand) < (b.0, b.1, b.2)) {
                     best = Some((cost, l.seq, l.cand, l.slot));
+                    reach = (cost + SimDisk::MARGIN_NS) as i64 - lo;
                 }
             }
             if is_up {
@@ -521,11 +579,9 @@ impl<S: Schedulable> DriveQueue<S> {
     }
 
     fn index_insert(&mut self, disk: &SimDisk, id: TaskId, seq: u64) {
-        // Move the task out of its slot for the duration: the index
-        // structures and the slab are both `self`, and a by-value move is
-        // free (no clone) while keeping borrows disjoint and the hot path
-        // allocation-free.
-        let Some(task) = self.slots[id.slot as usize].task.take() else {
+        // Borrow the task in place; the slab and the indexes are disjoint
+        // fields.
+        let Some(task) = self.slots[id.slot as usize].task.as_ref() else {
             return;
         };
         match self.policy {
@@ -557,25 +613,30 @@ impl<S: Schedulable> DriveQueue<S> {
                     if b.lanes.is_empty() {
                         b.epoch = epoch;
                     }
-                    b.lanes.push(Lane {
-                        seq,
-                        slot: id.slot,
-                        cylinder: t.cylinder,
-                        surface: t.surface,
-                        cand: c as u32,
-                        write,
-                        phase: disk.phase_of_angle(base_angle),
-                        base_angle,
-                    });
+                    let base_ns = disk.angle_ns(base_angle);
+                    let at = b.lanes.partition_point(|l| l.base_ns <= base_ns);
+                    b.lanes.insert(
+                        at,
+                        Lane {
+                            seq,
+                            slot: id.slot,
+                            cylinder: t.cylinder,
+                            surface: t.surface,
+                            cand: c as u32,
+                            write,
+                            phase: disk.phase_of_angle(base_angle),
+                            base_angle,
+                            base_ns,
+                        },
+                    );
                     self.band_bits[band / 64] |= 1 << (band % 64);
                 }
             }
         }
-        self.slots[id.slot as usize].task = Some(task);
     }
 
     fn index_remove(&mut self, id: TaskId, seq: u64) {
-        let Some(task) = self.slots[id.slot as usize].task.take() else {
+        let Some(task) = self.slots[id.slot as usize].task.as_ref() else {
             return;
         };
         match self.policy {
@@ -606,7 +667,7 @@ impl<S: Schedulable> DriveQueue<S> {
                     // removes one of its lanes in this band, so entries
                     // with several replicas in one band drain fully.
                     if let Some(at) = lanes.iter().position(|l| l.seq == seq) {
-                        lanes.swap_remove(at);
+                        lanes.remove(at);
                     }
                     if lanes.is_empty() {
                         self.band_bits[band / 64] &= !(1 << (band % 64));
@@ -614,7 +675,6 @@ impl<S: Schedulable> DriveQueue<S> {
                 }
             }
         }
-        self.slots[id.slot as usize].task = Some(task);
     }
 }
 
@@ -632,7 +692,7 @@ fn band_min_dist(band: usize, arm: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimd_disk::{DiskParams, PositionKnowledge, Target, TimingPath};
+    use mimd_disk::{mod1, DiskParams, PositionKnowledge, Target, TimingPath};
     use mimd_sim::SimRng;
 
     #[derive(Debug, Clone)]
@@ -693,9 +753,11 @@ mod tests {
         }
     }
 
-    /// Every lane of the band index must mirror the queue contents, and
-    /// every phase in a band stamped with the current epoch must equal the
-    /// disk's own `sched_phase` of its target.
+    /// Every lane of the band index must mirror the queue contents, every
+    /// band must be sorted by base angle in whole nanoseconds (below one
+    /// revolution, from a base angle in `[0, 1)`), and every phase in a
+    /// band stamped with the current epoch must equal the disk's own
+    /// `sched_phase` of its target.
     fn check_index(dq: &DriveQueue<Entry>, d: &SimDisk, mirror: &[Entry], ids: &[TaskId]) {
         if !matches!(dq.policy, Policy::Satf | Policy::Rsatf) {
             return;
@@ -729,6 +791,16 @@ mod tests {
         for (b, band) in dq.bands.iter().enumerate() {
             let bit = dq.band_bits[b / 64] & (1 << (b % 64)) != 0;
             assert_eq!(bit, !band.lanes.is_empty(), "band bit desync at {b}");
+            assert!(
+                band.lanes.windows(2).all(|w| w[0].base_ns <= w[1].base_ns),
+                "band {b} out of base-angle order"
+            );
+            assert!(
+                band.lanes.iter().all(|l| (0.0..1.0).contains(&l.base_angle)
+                    && l.base_ns == d.angle_ns(l.base_angle)
+                    && l.base_ns < d.rotation_ns()),
+                "band {b} holds a bad base angle"
+            );
             for l in &band.lanes {
                 // A current-epoch band's phases must already be the
                 // repaired values; a stale band repairs from base angles.
@@ -1106,6 +1178,117 @@ mod tests {
                         mirror.remove(at);
                     }
                 }
+            }
+        });
+    }
+
+    /// The phase-ordered walk where it does real work: 256 entries packed
+    /// into the one or two bands around the arm, so every pick binary
+    /// searches a long band, breaks early and wraps. A quarter of the
+    /// entries repeat an earlier entry's targets, and some older entries
+    /// are re-indexed with a newer one's, so exact cost ties leave
+    /// `(seq, cand)` to decide whatever the lane order. The drive serves each pick, which moves the
+    /// arm and the clock, and the spindle is re-phased mid-drain. Slack
+    /// runs at zero, 500 µs and one full revolution, the last of which puts
+    /// every lane a revolution late. The drain must match the windowed scan
+    /// to empty.
+    #[test]
+    fn dense_bands_drain_like_the_scan() {
+        const WINDOW: usize = 128;
+        const DEPTH: usize = 256;
+        mimd_sim::check::check_cases("dense bands drain like the scan", 6, |case, rng| {
+            for policy in [Policy::Satf, Policy::Rsatf] {
+                let mut d = disk();
+                let slack = match case % 3 {
+                    0 => SimDuration::ZERO,
+                    1 => SimDuration::from_micros(500),
+                    _ => d.rotation_time(),
+                };
+                d.set_phase_offset(rng.unit());
+                let cyls = u64::from(d.geometry().total_cylinders());
+                let surfaces = u64::from(d.geometry().surfaces());
+                // Two adjacent bands; the arm parks inside the first.
+                let lo_cyl = (rng.below(cyls / u64::from(BAND_CYLS) - 1) as u32) * BAND_CYLS;
+                let span = u64::from(2 * BAND_CYLS);
+                let park = Target {
+                    cylinder: lo_cyl + rng.below(u64::from(BAND_CYLS)) as u32,
+                    surface: rng.below(surfaces) as u32,
+                    angle: rng.unit(),
+                    sectors: 8,
+                };
+                let _ = d.begin(SimTime::ZERO, &park, false);
+                let mut now = d.busy_until();
+                let mut dq: DriveQueue<Entry> = DriveQueue::new(policy);
+                let mut mirror: Vec<Entry> = Vec::new();
+                let mut ids: Vec<TaskId> = Vec::new();
+                for _ in 0..DEPTH {
+                    let e = if !mirror.is_empty() && rng.below(4) == 0 {
+                        let twin = &mirror[rng.below(mirror.len() as u64) as usize];
+                        Entry {
+                            at: SimTime::from_micros(rng.below(50)),
+                            ..twin.clone()
+                        }
+                    } else {
+                        let dr = 1 + rng.below(4) as usize;
+                        let first = rng.unit();
+                        Entry {
+                            candidates: (0..dr)
+                                .map(|r| {
+                                    let (cylinder, surface) = if rng.below(8) == 0 {
+                                        (d.arm_cylinder(), rng.below(surfaces) as u32)
+                                    } else {
+                                        let c = lo_cyl + rng.below(span) as u32;
+                                        (c, rng.below(surfaces) as u32)
+                                    };
+                                    Target {
+                                        cylinder,
+                                        surface,
+                                        // Rotational replicas: evenly spaced.
+                                        angle: mod1(first + r as f64 / dr as f64),
+                                        sectors: 8,
+                                    }
+                                })
+                                .collect(),
+                            write: rng.below(4) == 0,
+                            at: SimTime::from_micros(rng.below(50)),
+                        }
+                    };
+                    ids.push(dq.insert(&d, e.clone()));
+                    mirror.push(e);
+                    // Re-index an older entry with a newer one's targets:
+                    // its lanes now sort after their twins' despite the
+                    // lower seq, so the tie-break must not trust lane order.
+                    if mirror.len() > 1 && rng.below(8) == 0 {
+                        let at = rng.below(mirror.len() as u64 - 1) as usize;
+                        let twin = mirror[mirror.len() - 1].candidates.clone();
+                        assert!(dq.replace_with(&d, ids[at], |t| t.candidates = twin.clone()));
+                        mirror[at].candidates = twin;
+                    }
+                }
+                check_index(&dq, &d, &mirror, &ids);
+                let mut step = 0;
+                while !mirror.is_empty() {
+                    if step == DEPTH / 2 {
+                        d.set_phase_offset(rng.unit());
+                    }
+                    let w = WINDOW.min(mirror.len());
+                    let mut look_a = LookState::default();
+                    let mut look_b = LookState::default();
+                    let want = sched::pick(policy, &d, now, &mirror[..w], &mut look_b, slack);
+                    let got = dq.pick(&d, now, &mut look_a, slack, WINDOW);
+                    let want_id = want.map(|p| (ids[p.queue_index], p.candidate));
+                    assert_eq!(got, want_id, "{policy} step {step}, slack {slack:?}");
+                    let p = want.expect("non-empty queue must pick");
+                    let e = mirror.remove(p.queue_index);
+                    assert!(dq.remove(ids.remove(p.queue_index)).is_some());
+                    let _ = d.begin(now, &e.candidates[p.candidate], e.write);
+                    now = d.busy_until() + SimDuration::from_nanos(rng.below(d.rotation_ns()));
+                    if step % 32 == 0 {
+                        check_index(&dq, &d, &mirror, &ids);
+                    }
+                    step += 1;
+                }
+                assert!(dq.is_empty());
             }
         });
     }

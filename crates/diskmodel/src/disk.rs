@@ -519,6 +519,78 @@ impl SimDisk {
         ((seek + rotation).as_nanos(), rotation.as_nanos())
     }
 
+    /// How far, in nanoseconds, the positioning cost of
+    /// [`SimDisk::sched_cost_at_phase_ns`] may fall below the rotational
+    /// lower bound the drive queue's SATF walk orders lanes by.
+    ///
+    /// **The bound.** Let `P` be the rotation period, `θ0` the spindle's
+    /// own phase when the command overhead ends, and `φ` a target's phase
+    /// ([`SimDisk::phase_of_angle`] of its base angle). The target next
+    /// passes under the head `u = mod1(φ − θ0)` revolutions later. After a
+    /// positioning delay of `s` ns (seek, head switch and write settle) the
+    /// head catches it `k = ⌈s/P − u⌉ ≥ 0` revolutions later still, so in
+    /// exact arithmetic the cost is `s + P·frac(u − s/P) = P·(u + k)`.
+    /// For any `lo ≤ s/P` it is therefore at least `P·v`, where `v` is the
+    /// value congruent to `u` (mod 1) in `[lo, lo + 1)`:
+    ///
+    /// - with `lo = 0`, the cost is at least `P·u`;
+    /// - if `u < lo ≤ s/P`, then `v = u + 1`: the target needs an extra
+    ///   revolution.
+    ///
+    /// **In whole nanoseconds.** The walk places each target at
+    /// `angle_ns(b)` along the revolution, and the origin at
+    /// [`SimDisk::sched_origin_ns`], so `(angle_ns(b) − origin) mod P`
+    /// stands for `P·u`. Those two roundings are at most half a nanosecond
+    /// each. The cost rounds its wait to whole nanoseconds, a third half
+    /// nanosecond. Float error in the phases is a few ulps of a
+    /// revolution, below 1e-4 ns for any period under a minute. The
+    /// integer form of the bound is: for any integer `lo ≤ s − MARGIN_NS`,
+    ///
+    /// `cost + MARGIN_NS ≥ lo + ((angle_ns(b) − origin − lo) mod P)`.
+    ///
+    /// Two nanoseconds covers the 1.5 ns of rounding with room for the
+    /// float error. Keeping `lo` a margin below `s` matters near the cut,
+    /// where the cyclic offset jumps from `P − 1` to 0. A target that
+    /// rounding moves across it is still costed a revolution late, because
+    /// `s` lies past its exact position. The same margin covers the float
+    /// wait itself wrapping a revolution short, which happens only when
+    /// `s/P` is within float error of `u + j`. The test
+    /// `sched_cost_respects_the_rotational_bound` checks both forms.
+    pub const MARGIN_NS: u64 = 2;
+
+    /// Where `angle` (a revolution fraction in `[0, 1)`) lies along the
+    /// revolution, in whole nanoseconds: `round(angle · P) mod P`. This is
+    /// the frame of [`SimDisk::sched_origin_ns`]; see
+    /// [`SimDisk::MARGIN_NS`].
+    #[inline]
+    pub fn angle_ns(&self, angle: f64) -> u64 {
+        let p = self.rotation_ns;
+        let x = (angle * p as f64 + 0.5) as u64;
+        if x >= p {
+            x - p
+        } else {
+            x
+        }
+    }
+
+    /// The rotational origin of a scheduling pick made at `start`, in the
+    /// frame of [`SimDisk::angle_ns`]: the base angle
+    /// ([`SimDisk::sched_base_angle`]) under the head once the command
+    /// overhead has passed, `angle_at(start + overhead)` in whole
+    /// nanoseconds. A target with base angle `b` that needs no positioning
+    /// waits about `(angle_ns(b) − origin) mod P` ns; see
+    /// [`SimDisk::MARGIN_NS`] for the bound this gives on any target.
+    #[inline]
+    pub fn sched_origin_ns(&self, start: SimTime) -> u64 {
+        let p = self.rotation_ns;
+        let x = self.spindle.phase_ns(start + self.overhead) + self.angle_ns(self.phase_offset);
+        if x >= p {
+            x - p
+        } else {
+            x
+        }
+    }
+
     /// Like [`SimDisk::estimate`], but without the per-command overhead:
     /// used for the follow-on replica writes of a single multi-replica
     /// write command (§3.4's foreground propagation).
@@ -707,6 +779,127 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`SimDisk::MARGIN_NS`]'s bound, as a property of
+    /// `sched_cost_at_phase_ns` over random start instants (period
+    /// multiples ±1 and values near `u64::MAX / 2` among them), arm
+    /// positions, targets, write flags and phase offsets, on both timing
+    /// paths. Phases at the origin and one ulp either side of it stress the
+    /// cyclic wraps; the 20 000 RPM drive seeks for up to three and a half
+    /// revolutions. Three forms are checked:
+    ///
+    /// - in the spindle's own frame, `cost + MARGIN_NS ≥ P·u` with
+    ///   `u = mod1(φ − θ0)`;
+    /// - when the positioning delay `s ≥ P·u + MARGIN_NS`, also
+    ///   `cost + MARGIN_NS ≥ P·(u + 1)`;
+    /// - in the whole-nanosecond frame of [`SimDisk::sched_origin_ns`],
+    ///   the band walk's form: for every integer `lo ≤ s − MARGIN_NS`,
+    ///   `cost + MARGIN_NS ≥ lo + ((angle_ns(b) − origin − lo) mod P)`.
+    #[test]
+    fn sched_cost_respects_the_rotational_bound() {
+        let fast = DiskParams {
+            rpm: 20_000,
+            ..DiskParams::st39133lwv()
+        };
+        let drives = [
+            DiskParams::st39133lwv(),
+            DiskParams::slow_spindle_7200(),
+            fast,
+        ];
+        let margin = SimDisk::MARGIN_NS as f64;
+        mimd_sim::check::check_cases("rotational bound", 48, |case, rng| {
+            let params = &drives[case as usize % drives.len()];
+            let path = if case % 2 == 0 {
+                TimingPath::Detailed
+            } else {
+                TimingPath::Analytic
+            };
+            let mut d = SimDisk::new(params, path, PositionKnowledge::Perfect, case).unwrap();
+            if rng.below(4) != 0 {
+                d.set_phase_offset(rng.unit());
+            }
+            let cyls = u64::from(d.geometry().total_cylinders());
+            let surfaces = u64::from(d.geometry().surfaces());
+            let park = Target {
+                cylinder: rng.below(cyls) as u32,
+                surface: rng.below(surfaces) as u32,
+                angle: rng.unit(),
+                sectors: 8,
+            };
+            let _ = d.begin(SimTime::ZERO, &park, false);
+            let p = d.rotation_ns();
+            let pf = p as f64;
+            let overhead = d.overhead.as_nanos();
+            for _ in 0..2_000 {
+                let k = 1 + rng.below(1 << 30);
+                let now = match rng.below(5) {
+                    0 => k * p + rng.below(3) - 1,
+                    1 => k * p - overhead + rng.below(3) - 1,
+                    2 => u64::MAX / 2 - rng.below(1 << 40),
+                    _ => rng.below(1 << 62),
+                };
+                let now = SimTime::from_nanos(now);
+                let (cylinder, surface) = match rng.below(4) {
+                    0 => (d.arm_cylinder(), d.arm_surface()),
+                    1 => (d.arm_cylinder(), rng.below(surfaces) as u32),
+                    _ => (rng.below(cyls) as u32, rng.below(surfaces) as u32),
+                };
+                let t = Target {
+                    cylinder,
+                    surface,
+                    angle: rng.unit(),
+                    sectors: 8,
+                };
+                let write = rng.below(3) == 0;
+                let theta0 = d.spindle.angle_at(now + d.overhead);
+                // Phase-frame probes: a target phase at, or one ulp either
+                // side of, the origin; otherwise the target's own phase.
+                let phase = match rng.below(5) {
+                    0 => theta0,
+                    1 => mod1(theta0.next_up()),
+                    2 => mod1(theta0.next_down()),
+                    _ => d.sched_phase(&t),
+                };
+                let (cost, rot) = d.sched_cost_at_phase_ns(now, &t, write, phase);
+                let s = cost - rot;
+                // `mod1`, not `frac1`: `frac1` of a phase one ulp below the
+                // origin rounds to 1.0, a whole revolution above the cost.
+                let u = mod1(phase - theta0);
+                let c = cost as f64 + margin;
+                assert!(c >= pf * u, "cost {cost} < P·u {} (s {s})", pf * u);
+                if s as f64 >= pf * u + margin {
+                    assert!(c >= pf * (u + 1.0), "cost {cost}, s {s}, u {u}");
+                }
+                // Whole-nanosecond probes, as the band walk sees them: base
+                // angles at, and one ulp either side of, the origin's own
+                // angle, and on either side of the origin's nanosecond.
+                let origin_ns = d.sched_origin_ns(now);
+                assert_eq!(origin_ns, d.angle_ns(d.angle_at(now + d.overhead)));
+                let at_origin = d.angle_at(now + d.overhead);
+                let base = match rng.below(8) {
+                    0 => at_origin,
+                    1 => mod1(at_origin.next_up()),
+                    2 => mod1(at_origin.next_down()),
+                    3..=5 => {
+                        let ns = (origin_ns + p + rng.below(3) - 1) % p;
+                        mod1((ns as f64 + rng.unit() - 0.5) / pf)
+                    }
+                    _ => d.sched_base_angle(&t),
+                };
+                let (cost, rot) = d.sched_cost_at_phase_ns(now, &t, write, d.phase_of_angle(base));
+                let s = (cost - rot) as i64;
+                let (m, pi) = (SimDisk::MARGIN_NS as i64, p as i64);
+                let pos = d.angle_ns(base) as i64 - origin_ns as i64;
+                for lo in [s - m, s - m - rng.below(3 * p) as i64, s.min(0) - m] {
+                    let v = lo + (pos - lo).rem_euclid(pi);
+                    assert!(
+                        cost as i64 + m >= v,
+                        "walk would skip: cost {cost}, s {s}, lo {lo}, v {v}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn mod1(x: f64) -> f64 {
 pub struct Spindle {
     period: SimDuration,
     /// `u64::MAX / period_ns`: the Barrett reciprocal that lets
-    /// [`Spindle::angle_at`] reduce `t % period` without a hardware divide.
+    /// [`Spindle::phase_ns`] reduce `t % period` without a hardware divide.
     recip: u64,
 }
 
@@ -72,13 +72,20 @@ impl Spindle {
     /// Platter phase (fraction of a revolution) at instant `t`:
     /// `(t % p) as f64 / p as f64` for period `p` in nanoseconds, bit for
     /// bit.
+    #[inline]
+    pub fn angle_at(&self, t: SimTime) -> f64 {
+        self.phase_ns(t) as f64 / self.period.as_nanos() as f64
+    }
+
+    /// Nanoseconds since the platter last passed phase 0 at instant `t`:
+    /// `t % p` for period `p` in nanoseconds.
     ///
     /// The remainder is a Barrett reduction: `recip = floor((2^64 - 1) / p)`
     /// makes the estimated quotient `(t * recip) >> 64` an underestimate of
     /// `t / p` by at most 2 for every `t < 2^64`, so the correction loop
     /// runs at most twice and the remainder is exact.
     #[inline]
-    pub fn angle_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn phase_ns(&self, t: SimTime) -> u64 {
         let p = self.period.as_nanos();
         let t = t.as_nanos();
         let q = ((t as u128 * self.recip as u128) >> 64) as u64;
@@ -86,7 +93,7 @@ impl Spindle {
         while rem >= p {
             rem -= p;
         }
-        rem as f64 / p as f64
+        rem
     }
 
     /// Time to wait from instant `t` until the platter reaches `target`
