@@ -23,7 +23,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use mimd_core::sched::{pick, LookState, Policy, Schedulable};
+use mimd_core::sched::{LookState, Policy, Schedulable};
 use mimd_core::{ArraySim, DriveQueue, EngineConfig, Layout, Shape};
 use mimd_disk::{
     DiskParams, Geometry, PositionKnowledge, SeekProfile, SimDisk, Target, TimingPath,
@@ -204,37 +204,9 @@ fn bench_disk_estimate() {
     }
 }
 
-fn bench_scheduler_pick() {
-    let disk = SimDisk::new(
-        &DiskParams::st39133lwv(),
-        TimingPath::Detailed,
-        PositionKnowledge::Perfect,
-        2,
-    )
-    .expect("valid params");
-    let mut rng = SimRng::seed_from(3);
-    for depth in [4usize, 16, 64, 256] {
-        let queue = make_queue(depth, 3, &mut rng);
-        for policy in [Policy::Satf, Policy::Rsatf, Policy::Rlook] {
-            let mut look = LookState::default();
-            bench(&format!("scheduler_pick/{policy}/{depth}"), || {
-                pick(
-                    policy,
-                    &disk,
-                    black_box(SimTime::from_millis(5)),
-                    &queue,
-                    &mut look,
-                    SimDuration::ZERO,
-                )
-            });
-        }
-    }
-}
-
 fn bench_drive_queue_pick() {
-    // The indexed twin of `scheduler_pick`: identical entry distribution,
-    // picked through the DriveQueue rotational-band / sweep indexes
-    // instead of the linear candidate scan.
+    // One pick through the DriveQueue band / sweep indexes on a static
+    // queue of random 3-replica entries.
     let disk = SimDisk::new(
         &DiskParams::st39133lwv(),
         TimingPath::Detailed,
@@ -384,9 +356,10 @@ fn bench_engine_depth_sweep() {
 }
 
 fn assert_steady_state_alloc_free() {
-    // The scheduler pick path must not allocate once scratch capacity has
-    // grown: the bound-ordered scan reuses `LookState` buffers across calls.
-    let disk = SimDisk::new(
+    // A pick allocates nothing, whatever the policy, with the queue deeper
+    // than the window (the seq mask runs) and with read-ahead on (the
+    // arm's band is walked in full).
+    let mut disk = SimDisk::new(
         &DiskParams::st39133lwv(),
         TimingPath::Detailed,
         PositionKnowledge::Perfect,
@@ -395,19 +368,36 @@ fn assert_steady_state_alloc_free() {
     .expect("valid params");
     let mut rng = SimRng::seed_from(7);
     let queue = make_queue(256, 3, &mut rng);
-    for policy in [Policy::Satf, Policy::Rsatf, Policy::Rlook] {
+    let policies = [
+        Policy::Fcfs,
+        Policy::Look,
+        Policy::Satf,
+        Policy::Rlook,
+        Policy::Rsatf,
+    ];
+    let check = |disk: &SimDisk, policy: Policy, name: &str| {
+        let mut dq: DriveQueue<Entry> = DriveQueue::new(policy);
+        for e in &queue {
+            dq.insert(disk, e.clone());
+        }
         let mut look = LookState::default();
-        assert_allocation_free(&format!("alloc_free/pick/{policy}/256"), 100, || {
-            pick(
-                policy,
-                &disk,
+        assert_allocation_free(name, 100, || {
+            dq.pick(
+                disk,
                 black_box(SimTime::from_millis(5)),
-                &queue,
                 &mut look,
                 SimDuration::ZERO,
+                128,
             )
         });
+    };
+    for policy in policies {
+        check(&disk, policy, &format!("alloc_free/pick/{policy}/256"));
     }
+    // Park on a queued read's track so the buffer holds a candidate.
+    disk.set_read_ahead(true);
+    let _ = disk.begin(SimTime::ZERO, &queue[0].targets[0], false);
+    check(&disk, Policy::Rsatf, "alloc_free/pick/RSATF/256/read_ahead");
 }
 
 fn bench_trace_generation() {
@@ -454,7 +444,6 @@ fn main() {
         return;
     }
     bench_disk_estimate();
-    bench_scheduler_pick();
     bench_drive_queue_pick();
     bench_drive_queue_churn();
     bench_layout_translation();

@@ -2,10 +2,10 @@
 //! per-policy indexes, so a scheduling pick costs time proportional to the
 //! work it inspects rather than the queue depth.
 //!
-//! [`crate::sched::pick`] is a scan: every decision touches every queued
-//! entry (bounding, heaping), even though arrivals and completions change
-//! the queue by one entry at a time. [`DriveQueue`] moves that work to the
-//! mutation sites:
+//! Each policy of [`crate::sched`] is defined by a scan: every decision
+//! would touch every queued entry, even though arrivals and completions
+//! change the queue by one entry at a time. [`DriveQueue`] moves that work
+//! to the mutation sites:
 //!
 //! - Entries live in a **slab** with stable, generation-tagged
 //!   [`TaskId`]s; queues and indexes store ids, never moved structs.
@@ -36,9 +36,10 @@
 //!
 //! # Exactness
 //!
-//! Each indexed pick returns *exactly* the entry and replica that
-//! [`crate::sched::pick`] would return on the queue's arrival-order
-//! window prefix:
+//! Each pick returns *exactly* the entry and replica that the policy's scan
+//! (a first-minimal pass over the queue in arrival order, kept as the test
+//! oracle `sched::pick`) would return on the queue's arrival-order window
+//! prefix:
 //!
 //! - Arrival order is tracked explicitly (`order`, always sorted by a
 //!   per-queue monotone sequence number), so the scan's positional
@@ -71,24 +72,31 @@
 //!   they are reached only while the incumbent costs more than about a
 //!   revolution. The margin covers the nanosecond roundings of the frame
 //!   and of the wait, and the cyclic wrap at the cut.
-//! - Queues deeper than the scheduling window are masked, not rescanned:
-//!   `order` is seq-sorted, so the scan's window prefix is exactly the
-//!   lanes with seq below the first out-of-window entry's seq, and the
-//!   walk skips the rest. Band bounds hold for every member, so the
-//!   windowed argmin is exact too.
-//!
-//! One situation falls outside the band index's guarantees, and
-//! [`DriveQueue::pick`] detects it and falls back to the windowed scan:
-//! drives with track read-ahead enabled (a potential buffer hit has
-//! positioning bound 0 regardless of seek distance, which breaks
-//! band-bound monotonicity). LOOK and FCFS picks on queues deeper than
-//! the window also fall back (their indexes span the whole queue).
+//! - **Track read-ahead.** A buffer hit costs nothing, whatever its
+//!   distance or phase, so it breaks both bounds. But a hit can only be on
+//!   the arm's own cylinder and surface (see [`SimDisk::read_ahead_enabled`]),
+//!   so every hit lies in the arm's band, whose seek bound is 0 and which
+//!   the walk therefore always visits. With read-ahead on, the walk costs
+//!   that band in full, without the rotational stop; every other band
+//!   keeps both stops.
+//! - **The window.** Queues deeper than the scheduling window are masked,
+//!   not rescanned: `order` is seq-sorted, so the scan's window prefix is
+//!   exactly the entries with seq below the first out-of-window entry's
+//!   seq (the *cutoff*), and every policy skips the rest. The band walk
+//!   skips such lanes; its bounds hold for every member, so the windowed
+//!   argmin is exact too. FCFS takes the oldest in-window entry of its
+//!   arrival-ordered set. LOOK takes the nearest in-direction cylinder
+//!   that holds an in-window entry, and within it the first in-window
+//!   entry in `(enqueued, seq)` order, which is the scan's FIFO
+//!   tie-break.
 //!
 //! The equivalence tests at the bottom drive randomized queues through
-//! both implementations and require identical picks — entry, replica, and
-//! sweep-direction side effects — across every policy. One of them packs
-//! 256 entries into the two bands around the arm, so the search, the
-//! early stop and the cyclic wrap run on long bands.
+//! both the index and the scan and require identical picks — entry,
+//! replica, and sweep-direction side effects — across every policy and
+//! at windows below the queue depth. One of them packs 256 entries into
+//! the two bands around the arm, so the search, the early stop and the
+//! cyclic wrap run on long bands, and chains buffer hits on read-ahead
+//! drives.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -313,16 +321,10 @@ impl<S: Schedulable> DriveQueue<S> {
         true
     }
 
-    /// Picks the next task for an idle disk exactly as
-    /// [`crate::sched::pick`] would on the arrival-order prefix of at most
-    /// `window` entries, returning the winning id and replica index.
-    ///
-    /// SATF/RSATF use the band index at any depth (entries past the
-    /// window are masked out of the argmin by sequence number) unless the
-    /// drive's read-ahead buffer is on, which breaks the index's bound
-    /// monotonicity and falls back to the windowed scan. LOOK and FCFS use
-    /// their indexes when the whole queue fits in the window and fall back
-    /// otherwise.
+    /// Picks the next task for an idle disk exactly as the policy's scan
+    /// would on the arrival-order prefix of at most `window` entries,
+    /// returning the winning id and replica index. Entries past the window
+    /// stay indexed and are masked out by sequence number.
     ///
     /// Takes `&mut self` only for phase-memo repair; the logical queue
     /// state is unchanged.
@@ -337,41 +339,18 @@ impl<S: Schedulable> DriveQueue<S> {
         if self.order.is_empty() {
             return None;
         }
+        // The scan only sees the arrival-order window prefix. `order` is
+        // seq-sorted, so that prefix is exactly the entries with seq below
+        // the first out-of-window entry's seq; the rest are skipped.
+        let cutoff = self
+            .order
+            .get(window)
+            .map_or(u64::MAX, |id| self.slots[id.slot as usize].seq);
         match self.policy {
-            Policy::Satf | Policy::Rsatf => {
-                if disk.read_ahead_enabled() {
-                    self.pick_scan(disk, now, look, slack, window)
-                } else {
-                    self.pick_satf(disk, now, slack, window)
-                }
-            }
-            _ if self.order.len() > window => self.pick_scan(disk, now, look, slack, window),
-            Policy::Fcfs => self.pick_fcfs(disk, now, slack),
-            Policy::Look | Policy::Rlook => self.pick_look(disk, now, look, slack),
+            Policy::Fcfs => self.pick_fcfs(disk, now, slack, cutoff),
+            Policy::Look | Policy::Rlook => self.pick_look(disk, now, look, slack, cutoff),
+            Policy::Satf | Policy::Rsatf => self.pick_satf(disk, now, slack, cutoff),
         }
-    }
-
-    /// The fallback: materialise the window prefix and run the scan.
-    fn pick_scan(
-        &self,
-        disk: &SimDisk,
-        now: SimTime,
-        look: &mut LookState,
-        slack: SimDuration,
-        window: usize,
-    ) -> Option<(TaskId, usize)> {
-        let window = window.min(self.order.len());
-        let refs: Vec<&S> = self.order[..window]
-            .iter()
-            .map(|&id| {
-                self.slots[id.slot as usize]
-                    .task
-                    .as_ref()
-                    .expect("order holds live ids") // simlint: allow(panic) — queue invariant
-            })
-            .collect();
-        let p = sched::pick(self.policy, disk, now, &refs, look, slack)?;
-        Some((self.order[p.queue_index], p.candidate))
     }
 
     fn pick_fcfs(
@@ -379,8 +358,9 @@ impl<S: Schedulable> DriveQueue<S> {
         disk: &SimDisk,
         now: SimTime,
         slack: SimDuration,
+        cutoff: u64,
     ) -> Option<(TaskId, usize)> {
-        let &(_, seq, slot) = self.fcfs.iter().next()?;
+        let &(_, seq, slot) = self.fcfs.iter().find(|e| e.1 < cutoff)?;
         let id = self.id_at(slot, seq)?;
         let task = self.get(id)?;
         Some((id, sched::best_candidate(disk, now, task, true, slack)))
@@ -392,18 +372,23 @@ impl<S: Schedulable> DriveQueue<S> {
         now: SimTime,
         look: &mut LookState,
         slack: SimDuration,
+        cutoff: u64,
     ) -> Option<(TaskId, usize)> {
         let head = disk.arm_cylinder();
         let aware = self.policy.replica_aware();
+        // The first in-window entry of a cylinder, in the scan's FIFO order.
+        let first = |set: &BTreeSet<(u64, u64, u32)>| set.iter().find(|e| e.1 < cutoff).copied();
         // One flip allowed, exactly like the scan's end-of-stroke turn.
         for _ in 0..2 {
             let hit = if look.upward {
-                self.sweep.range(head..).next()
+                self.sweep.range(head..).find_map(|(_, set)| first(set))
             } else {
-                self.sweep.range(..=head).next_back()
+                self.sweep
+                    .range(..=head)
+                    .rev()
+                    .find_map(|(_, set)| first(set))
             };
-            if let Some((_, set)) = hit {
-                let &(_, seq, slot) = set.iter().next()?;
+            if let Some((_, seq, slot)) = hit {
                 let id = self.id_at(slot, seq)?;
                 let task = self.get(id)?;
                 return Some((id, sched::best_candidate(disk, now, task, aware, slack)));
@@ -418,19 +403,14 @@ impl<S: Schedulable> DriveQueue<S> {
         disk: &SimDisk,
         now: SimTime,
         slack: SimDuration,
-        window: usize,
+        cutoff: u64,
     ) -> Option<(TaskId, usize)> {
-        // The scan only sees the arrival-order window prefix. `order` is
-        // seq-sorted, so that prefix is exactly the lanes with seq below
-        // the first out-of-window entry's seq; lanes at or past the cutoff
-        // stay in the index but are skipped.
-        let cutoff = if self.order.len() > window {
-            self.slots[self.order[window].slot as usize].seq
-        } else {
-            u64::MAX
-        };
         let arm = disk.arm_cylinder();
         let arm_band = (arm / BAND_CYLS) as usize;
+        // A track-buffer hit costs nothing at any phase, so the rotational
+        // stop does not hold for it. Hits lie only on the arm's own track,
+        // so with read-ahead on the arm's band is walked in full.
+        let full_band = disk.read_ahead_enabled().then_some(arm_band);
         let slack_ns = slack.as_nanos();
         let epoch = disk.phase_epoch();
         let p = disk.rotation_ns();
@@ -481,7 +461,7 @@ impl<S: Schedulable> DriveQueue<S> {
                 let (at, turn) = if i < n { (i, 0) } else { (i - n, p) };
                 let l = &lanes[at];
                 let d = (l.base_ns + turn - start) as i64;
-                if d > reach {
+                if d > reach && full_band != Some(band) {
                     break;
                 }
                 if l.seq >= cutoff {
@@ -866,7 +846,8 @@ mod tests {
             } else {
                 SimDuration::ZERO
             };
-            // A small window sometimes, to exercise the fallback boundary.
+            // A small window sometimes, so the seq mask of every policy's
+            // index runs, LOOK's and FCFS's included.
             let window = if case % 4 == 0 { 8 } else { 128 };
             for policy in policies {
                 let mut dq: DriveQueue<Entry> = DriveQueue::new(policy);
@@ -949,10 +930,11 @@ mod tests {
         });
     }
 
-    /// Read-ahead drives must take the fallback path (a potential buffer
-    /// hit has bound 0 at any distance) and still agree with the scan.
+    /// On read-ahead drives a buffered-track read costs nothing, whatever
+    /// its phase; the walk costs the arm's band in full, and must still
+    /// agree with the scan.
     #[test]
-    fn read_ahead_falls_back_and_matches() {
+    fn read_ahead_picks_match_the_scan() {
         let mut d = disk();
         d.set_read_ahead(true);
         let warm = Target {
@@ -1187,16 +1169,19 @@ mod tests {
     /// searches a long band, breaks early and wraps. A quarter of the
     /// entries repeat an earlier entry's targets, and some older entries
     /// are re-indexed with a newer one's, so exact cost ties leave
-    /// `(seq, cand)` to decide whatever the lane order. The drive serves each pick, which moves the
-    /// arm and the clock, and the spindle is re-phased mid-drain. Slack
-    /// runs at zero, 500 µs and one full revolution, the last of which puts
-    /// every lane a revolution late. The drain must match the windowed scan
-    /// to empty.
+    /// `(seq, cand)` to decide whatever the lane order. The drive serves
+    /// each pick, which moves the arm and the clock, and the spindle is
+    /// re-phased mid-drain. Slack runs at zero, 500 µs and one full
+    /// revolution, the last of which puts every lane a revolution late.
+    /// Every other case runs on a read-ahead drive, with a share of the
+    /// candidates on a few hot tracks, the arm's own among them: buffer
+    /// hits then chain, as each served read refills the buffer with its
+    /// track. The drain must match the windowed scan to empty.
     #[test]
     fn dense_bands_drain_like_the_scan() {
         const WINDOW: usize = 128;
         const DEPTH: usize = 256;
-        mimd_sim::check::check_cases("dense bands drain like the scan", 6, |case, rng| {
+        mimd_sim::check::check_cases("dense bands drain like the scan", 12, |case, rng| {
             for policy in [Policy::Satf, Policy::Rsatf] {
                 let mut d = disk();
                 let slack = match case % 3 {
@@ -1204,6 +1189,8 @@ mod tests {
                     1 => SimDuration::from_micros(500),
                     _ => d.rotation_time(),
                 };
+                let read_ahead = case % 2 == 1;
+                d.set_read_ahead(read_ahead);
                 d.set_phase_offset(rng.unit());
                 let cyls = u64::from(d.geometry().total_cylinders());
                 let surfaces = u64::from(d.geometry().surfaces());
@@ -1217,6 +1204,19 @@ mod tests {
                     sectors: 8,
                 };
                 let _ = d.begin(SimTime::ZERO, &park, false);
+                // Read-ahead cases put a quarter of the candidates on a few
+                // hot tracks, the arm's own among them: once the drive serves
+                // one of them, the rest on that track are buffer hits.
+                let hot: Vec<(u32, u32)> = if read_ahead {
+                    let mut hot = vec![(park.cylinder, park.surface)];
+                    hot.extend((0..3).map(|_| {
+                        let c = lo_cyl + rng.below(span) as u32;
+                        (c, rng.below(surfaces) as u32)
+                    }));
+                    hot
+                } else {
+                    Vec::new()
+                };
                 let mut now = d.busy_until();
                 let mut dq: DriveQueue<Entry> = DriveQueue::new(policy);
                 let mut mirror: Vec<Entry> = Vec::new();
@@ -1234,7 +1234,9 @@ mod tests {
                         Entry {
                             candidates: (0..dr)
                                 .map(|r| {
-                                    let (cylinder, surface) = if rng.below(8) == 0 {
+                                    let (cylinder, surface) = if read_ahead && rng.below(4) == 0 {
+                                        hot[rng.below(hot.len() as u64) as usize]
+                                    } else if rng.below(8) == 0 {
                                         (d.arm_cylinder(), rng.below(surfaces) as u32)
                                     } else {
                                         let c = lo_cyl + rng.below(span) as u32;
@@ -1267,6 +1269,8 @@ mod tests {
                 }
                 check_index(&dq, &d, &mirror, &ids);
                 let mut step = 0;
+                // Buffer hits served right after another buffer hit.
+                let (mut chained, mut last_hit) = (0, false);
                 while !mirror.is_empty() {
                     if step == DEPTH / 2 {
                         d.set_phase_offset(rng.unit());
@@ -1277,11 +1281,17 @@ mod tests {
                     let want = sched::pick(policy, &d, now, &mirror[..w], &mut look_b, slack);
                     let got = dq.pick(&d, now, &mut look_a, slack, WINDOW);
                     let want_id = want.map(|p| (ids[p.queue_index], p.candidate));
-                    assert_eq!(got, want_id, "{policy} step {step}, slack {slack:?}");
+                    assert_eq!(
+                        got, want_id,
+                        "{policy} step {step}, slack {slack:?}, read-ahead {read_ahead}"
+                    );
                     let p = want.expect("non-empty queue must pick");
                     let e = mirror.remove(p.queue_index);
                     assert!(dq.remove(ids.remove(p.queue_index)).is_some());
-                    let _ = d.begin(now, &e.candidates[p.candidate], e.write);
+                    let b = d.begin(now, &e.candidates[p.candidate], e.write);
+                    let hit = read_ahead && !e.write && b.positioning() == SimDuration::ZERO;
+                    chained += u32::from(hit && last_hit);
+                    last_hit = hit;
                     now = d.busy_until() + SimDuration::from_nanos(rng.below(d.rotation_ns()));
                     if step % 32 == 0 {
                         check_index(&dq, &d, &mirror, &ids);
@@ -1289,6 +1299,14 @@ mod tests {
                     step += 1;
                 }
                 assert!(dq.is_empty());
+                // Under the 500 µs slack a hit's zero wait falls inside the
+                // window, so it costs a revolution and rarely wins; at zero
+                // slack, and at a revolution (where every lane is a
+                // revolution late), hits must chain.
+                assert!(
+                    !read_ahead || case % 3 == 1 || chained > 0,
+                    "{policy}: no buffer hits chained"
+                );
             }
         });
     }

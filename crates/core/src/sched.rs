@@ -13,10 +13,38 @@
 //!
 //! Positioning estimates come from [`SimDisk::estimate`], which is exactly
 //! the head-position-prediction machinery of §3.2 (its residual error is
-//! injected at service time, not here).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! injected at service time, not here). The picks themselves are made by
+//! [`crate::DriveQueue`], whose per-policy indexes return what a plain scan
+//! of the queue would; that scan lives on only as its test oracle.
+//!
+//! # Examples
+//!
+//! ```
+//! use mimd_core::sched::{LookState, Policy, Schedulable};
+//! use mimd_core::DriveQueue;
+//! use mimd_disk::{DiskParams, PositionKnowledge, SimDisk, Target, TimingPath};
+//! use mimd_sim::{SimDuration, SimTime};
+//!
+//! struct Entry(Vec<Target>);
+//! impl Schedulable for Entry {
+//!     fn candidates(&self) -> &[Target] { &self.0 }
+//!     fn is_write(&self) -> bool { false }
+//!     fn enqueued(&self) -> SimTime { SimTime::ZERO }
+//! }
+//!
+//! let disk = SimDisk::new(&DiskParams::st39133lwv(), TimingPath::Analytic,
+//!                         PositionKnowledge::Perfect, 0).unwrap();
+//! let at = |cylinder| Entry(vec![Target { cylinder, surface: 0, angle: 0.1, sectors: 8 }]);
+//! let mut queue = DriveQueue::new(Policy::Satf);
+//! let _far = queue.insert(&disk, at(9_000));
+//! let near = queue.insert(&disk, at(9));
+//! let mut look = LookState::default();
+//! let window = 128;
+//! let (id, replica) = queue
+//!     .pick(&disk, SimTime::ZERO, &mut look, SimDuration::ZERO, window)
+//!     .unwrap();
+//! assert_eq!((id, replica), (near, 0));
+//! ```
 
 use mimd_disk::{SimDisk, Target};
 use mimd_sim::{SimDuration, SimTime};
@@ -76,67 +104,79 @@ pub trait Schedulable {
     fn enqueued(&self) -> SimTime;
 }
 
-impl<S: Schedulable> Schedulable for &S {
-    fn candidates(&self) -> &[Target] {
-        (**self).candidates()
-    }
-    fn is_write(&self) -> bool {
-        (**self).is_write()
-    }
-    fn enqueued(&self) -> SimTime {
-        (**self).enqueued()
-    }
-}
-
-/// Per-disk scheduler state: the elevator sweep direction plus a scratch
-/// heap the SATF scan reuses across calls (no steady-state allocation).
+/// Per-disk scheduler state: the elevator sweep direction.
 #[derive(Debug, Clone, Default)]
 pub struct LookState {
     /// Whether the sweep currently moves toward higher cylinders.
     pub upward: bool,
-    /// Reusable scratch for the SATF/RSATF bound-ordered scan:
-    /// `(seek lower bound, queue index, candidate index)` entries. Filled
-    /// linearly then heapified in one `BinaryHeap::from` pass (O(n), vs
-    /// O(n log n) for element-wise pushes); the allocation shuttles
-    /// between the `Vec` and the heap without ever being dropped.
-    scan: Vec<Reverse<(u64, u32, u32)>>,
 }
 
-/// The scheduling decision: queue index and candidate (replica) index.
+/// The ranking cost of one candidate: predicted positioning time, plus a
+/// full-revolution penalty when the predicted rotational wait falls inside
+/// the slack window — within it the head-position prediction cannot be
+/// trusted and "the scheduler conservatively chooses the next rotational
+/// replica after the target" (§3.2).
+fn candidate_cost(
+    disk: &SimDisk,
+    now: SimTime,
+    target: &Target,
+    write: bool,
+    slack: SimDuration,
+) -> u64 {
+    let (positioning_ns, rotation_ns) = disk.sched_cost_ns(now, target, write);
+    let mut cost = positioning_ns;
+    if rotation_ns < slack.as_nanos() {
+        cost += disk.rotation_ns();
+    }
+    cost
+}
+
+/// Picks the cheapest replica of one entry (or the primary when the policy
+/// is not replica-aware). First-minimal tie-break; a replica whose seek
+/// lower bound already reaches the incumbent's cost is not costed.
+pub(crate) fn best_candidate<S: Schedulable>(
+    disk: &SimDisk,
+    now: SimTime,
+    entry: &S,
+    aware: bool,
+    slack: SimDuration,
+) -> usize {
+    if !aware || entry.candidates().len() == 1 {
+        return 0;
+    }
+    let write = entry.is_write();
+    let mut best: Option<(usize, u64)> = None;
+    for (i, t) in entry.candidates().iter().enumerate() {
+        if let Some((_, b)) = best {
+            if disk.positioning_lower_bound_ns(t, write) >= b {
+                continue;
+            }
+        }
+        let cost = candidate_cost(disk, now, t, write, slack);
+        if best.map(|(_, b)| cost < b).unwrap_or(true) {
+            best = Some((i, cost));
+        }
+    }
+    best.map(|(i, _)| i).unwrap_or(0)
+}
+
+/// The scheduling decision of the test oracle: queue index and candidate
+/// (replica) index.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pick {
+pub(crate) struct Pick {
     /// Index into the queue slice handed to [`pick`].
     pub queue_index: usize,
     /// Index into that entry's candidate list.
     pub candidate: usize,
 }
 
-/// Chooses the next entry (and replica) for an idle disk, or `None` if the
-/// queue is empty.
-///
-/// # Examples
-///
-/// ```
-/// use mimd_core::sched::{pick, LookState, Policy, Schedulable};
-/// use mimd_disk::{DiskParams, PositionKnowledge, SimDisk, Target, TimingPath};
-/// use mimd_sim::SimTime;
-///
-/// struct Entry(Vec<Target>);
-/// impl Schedulable for Entry {
-///     fn candidates(&self) -> &[Target] { &self.0 }
-///     fn is_write(&self) -> bool { false }
-///     fn enqueued(&self) -> SimTime { SimTime::ZERO }
-/// }
-///
-/// let disk = SimDisk::new(&DiskParams::st39133lwv(), TimingPath::Analytic,
-///                         PositionKnowledge::Perfect, 0).unwrap();
-/// let q = vec![Entry(vec![Target { cylinder: 9, surface: 0, angle: 0.1, sectors: 8 }])];
-/// let mut look = LookState::default();
-/// let p = pick(Policy::Satf, &disk, SimTime::ZERO, &q, &mut look,
-///              mimd_sim::SimDuration::ZERO).unwrap();
-/// assert_eq!((p.queue_index, p.candidate), (0, 0));
-/// ```
-pub fn pick<S: Schedulable>(
+/// The scan every policy's decision rule is defined by, and the oracle
+/// the [`crate::DriveQueue`] equivalence tests compare against: chooses
+/// the next entry (and replica) of `queue` for an idle disk, or `None` if
+/// the queue is empty. Ties go to the first entry in queue order.
+#[cfg(test)]
+pub(crate) fn pick<S: Schedulable>(
     policy: Policy,
     disk: &SimDisk,
     now: SimTime,
@@ -159,62 +199,28 @@ pub fn pick<S: Schedulable>(
             })
         }
         Policy::Satf | Policy::Rsatf => {
-            let aware = policy.replica_aware();
-            // The seek alone lower-bounds a candidate's cost, so candidates
-            // are visited in ascending-bound order (a min-heap over the
-            // reusable scratch buffer): the first full estimates come from
-            // the most promising candidates, and the whole scan stops as
-            // soon as the next bound exceeds the incumbent's cost — no
-            // later candidate can beat it. Winner selection compares
-            // (cost, queue index, candidate index) lexicographically, which
-            // is exactly the first-minimal-in-queue-order rule of a linear
-            // scan, so the pick is identical to the exhaustive one.
-            let scratch = &mut look.scan;
-            // An earlier scan's early break may have left entries behind;
-            // clearing keeps the allocation and discards the stale contents.
-            scratch.clear();
-            for (i, entry) in queue.iter().enumerate() {
-                let limit = if aware { entry.candidates().len() } else { 1 };
-                let write = entry.is_write();
-                for (c, target) in entry.candidates().iter().take(limit).enumerate() {
-                    scratch.push(Reverse((
-                        disk.positioning_lower_bound_ns(target, write),
-                        i as u32,
-                        c as u32,
-                    )));
+            // First minimal cost in queue order, every candidate costed.
+            let limit = |e: &S| {
+                if policy.replica_aware() {
+                    e.candidates().len()
+                } else {
+                    1
                 }
-            }
-            let mut heap = BinaryHeap::from(std::mem::take(scratch));
-            let mut best: Option<(u64, u32, u32)> = None;
-            while let Some(Reverse((bound, i, c))) = heap.pop() {
-                if let Some((bcost, bi, bc)) = best {
-                    if bound > bcost {
-                        break; // Every remaining bound is at least this one.
-                    }
-                    // bound == bcost can at most tie; only an earlier queue
-                    // position would displace the incumbent.
-                    if bound == bcost && (i, c) >= (bi, bc) {
-                        continue;
+            };
+            let mut best: Option<(u64, Pick)> = None;
+            for (i, e) in queue.iter().enumerate() {
+                for (c, t) in e.candidates().iter().take(limit(e)).enumerate() {
+                    let cost = candidate_cost(disk, now, t, e.is_write(), slack);
+                    if best.is_none_or(|(b, _)| cost < b) {
+                        let pick = Pick {
+                            queue_index: i,
+                            candidate: c,
+                        };
+                        best = Some((cost, pick));
                     }
                 }
-                let entry = &queue[i as usize];
-                let target = &entry.candidates()[c as usize];
-                let cost = candidate_cost(disk, now, target, entry.is_write(), slack);
-                let wins = match best {
-                    None => true,
-                    Some((bcost, bi, bc)) => cost < bcost || (cost == bcost && (i, c) < (bi, bc)),
-                };
-                if wins {
-                    best = Some((cost, i, c));
-                }
             }
-            // Hand the buffer back for the next call (contents are stale
-            // and discarded by the clear() above).
-            *scratch = heap.into_vec();
-            best.map(|(_, i, c)| Pick {
-                queue_index: i as usize,
-                candidate: c as usize,
-            })
+            best.map(|(_, p)| p)
         }
         Policy::Look | Policy::Rlook => {
             let head = disk.arm_cylinder();
@@ -247,55 +253,6 @@ pub fn pick<S: Schedulable>(
             None
         }
     }
-}
-
-/// The ranking cost of one candidate: predicted positioning time, plus a
-/// full-revolution penalty when the predicted rotational wait falls inside
-/// the slack window — within it the head-position prediction cannot be
-/// trusted and "the scheduler conservatively chooses the next rotational
-/// replica after the target" (§3.2).
-pub(crate) fn candidate_cost(
-    disk: &SimDisk,
-    now: SimTime,
-    target: &Target,
-    write: bool,
-    slack: SimDuration,
-) -> u64 {
-    let (positioning_ns, rotation_ns) = disk.sched_cost_ns(now, target, write);
-    let mut cost = positioning_ns;
-    if rotation_ns < slack.as_nanos() {
-        cost += disk.rotation_ns();
-    }
-    cost
-}
-
-/// Picks the cheapest replica of one entry (or the primary when the policy
-/// is not replica-aware). First-minimal tie-break, with the same
-/// seek-lower-bound pruning as the SATF scan.
-pub(crate) fn best_candidate<S: Schedulable>(
-    disk: &SimDisk,
-    now: SimTime,
-    entry: &S,
-    aware: bool,
-    slack: SimDuration,
-) -> usize {
-    if !aware || entry.candidates().len() == 1 {
-        return 0;
-    }
-    let write = entry.is_write();
-    let mut best: Option<(usize, u64)> = None;
-    for (i, t) in entry.candidates().iter().enumerate() {
-        if let Some((_, b)) = best {
-            if disk.positioning_lower_bound_ns(t, write) >= b {
-                continue;
-            }
-        }
-        let cost = candidate_cost(disk, now, t, write, slack);
-        if best.map(|(_, b)| cost < b).unwrap_or(true) {
-            best = Some((i, cost));
-        }
-    }
-    best.map(|(i, _)| i).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -493,10 +450,7 @@ mod tests {
             entry_at(3500, 0.0, 1),
             entry_at(5000, 0.0, 2),
         ];
-        let mut look = LookState {
-            upward: true,
-            ..LookState::default()
-        };
+        let mut look = LookState { upward: true };
         // Upward: nearest above 3000 is 3500.
         let p = pick(Policy::Look, &d, now, &q, &mut look, SimDuration::ZERO).unwrap();
         assert_eq!(p.queue_index, 1);
@@ -512,10 +466,7 @@ mod tests {
     fn rlook_chooses_rotationally_closest_replica_on_scan() {
         let d = disk();
         let q = vec![entry_with_replicas(0, 6)];
-        let mut look = LookState {
-            upward: true,
-            ..LookState::default()
-        };
+        let mut look = LookState { upward: true };
         let p = pick(
             Policy::Rlook,
             &d,
@@ -547,71 +498,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p_look.candidate, 0);
-    }
-
-    /// The bound-ordered heap scan must agree with a naive exhaustive
-    /// queue-order scan on every random queue — same entry AND same
-    /// replica, including first-minimal tie-breaks.
-    #[test]
-    fn satf_heap_scan_matches_exhaustive_scan() {
-        let mut d = disk();
-        let _ = d.begin(
-            SimTime::ZERO,
-            &Target {
-                cylinder: 4321,
-                surface: 0,
-                angle: 0.0,
-                sectors: 1,
-            },
-            false,
-        );
-        let now = d.busy_until();
-        let mut rng = mimd_sim::SimRng::seed_from(0xD15C);
-        for case in 0..200 {
-            let depth = 1 + (rng.below(24) as usize);
-            let dr = 1 + rng.below(4) as u32;
-            let slack = if case % 3 == 0 {
-                SimDuration::from_micros(rng.below(2_000))
-            } else {
-                SimDuration::ZERO
-            };
-            let q: Vec<Entry> = (0..depth)
-                .map(|_| Entry {
-                    candidates: (0..dr)
-                        .map(|k| Target {
-                            cylinder: rng.below(9_000) as u32,
-                            surface: k,
-                            angle: rng.unit(),
-                            sectors: 8,
-                        })
-                        .collect(),
-                    write: rng.below(4) == 0,
-                    at: SimTime::ZERO,
-                })
-                .collect();
-            for policy in [Policy::Satf, Policy::Rsatf] {
-                let aware = policy.replica_aware();
-                // Naive reference: first minimal cost in queue order.
-                let mut want: Option<(usize, usize, u64)> = None;
-                for (i, e) in q.iter().enumerate() {
-                    let limit = if aware { e.candidates.len() } else { 1 };
-                    for (c, t) in e.candidates.iter().take(limit).enumerate() {
-                        let cost = candidate_cost(&d, now, t, e.write, slack);
-                        if want.map(|(_, _, b)| cost < b).unwrap_or(true) {
-                            want = Some((i, c, cost));
-                        }
-                    }
-                }
-                let (wi, wc, _) = want.unwrap();
-                let mut look = LookState::default();
-                let got = pick(policy, &d, now, &q, &mut look, slack).unwrap();
-                assert_eq!(
-                    (got.queue_index, got.candidate),
-                    (wi, wc),
-                    "case {case}, {policy}, depth {depth}, dr {dr}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -113,7 +113,9 @@ pub struct SimDisk {
     /// When true, the drive buffers the track it last read; re-reads from
     /// that track are served at transfer speed with no positioning.
     read_ahead: bool,
-    /// The `(cylinder, surface)` whose contents sit in the track buffer.
+    /// The `(cylinder, surface)` whose contents sit in the track buffer:
+    /// always `None` or the arm's own track (see
+    /// [`SimDisk::read_ahead_enabled`]).
     buffered_track: Option<(u32, u32)>,
     /// Spindle phase offset in revolutions; non-zero models unsynchronised
     /// spindles across an array (§2.5).
@@ -246,9 +248,9 @@ impl SimDisk {
     /// the by-distance form of [`SimDisk::positioning_lower_bound_ns`], for
     /// index structures that bound whole cylinder bands at once. Monotone in
     /// `distance` (the seek curve is), which is what lets a band index visit
-    /// bands in ascending-bound order. Not valid for potential track-buffer
-    /// hits (their positioning bound is 0 regardless of distance) — callers
-    /// must check [`SimDisk::read_ahead_enabled`] first.
+    /// bands in ascending-bound order. A track-buffer hit positions in 0 ns
+    /// whatever this bound says, but a hit is only ever at distance 0 (see
+    /// [`SimDisk::read_ahead_enabled`]), where the bound is 0 too.
     #[inline]
     pub fn seek_bound_ns(&self, distance: u32) -> u64 {
         if distance == 0 {
@@ -259,6 +261,14 @@ impl SimDisk {
     }
 
     /// Whether the track read-ahead buffer is enabled.
+    ///
+    /// **Invariant.** The buffered track is always either empty or the
+    /// arm's own `(cylinder, surface)`: a committed read sets it together
+    /// with the arm, a committed write empties it, and disabling read-ahead
+    /// empties it. So a potential buffer hit — a read whose positioning
+    /// costs nothing — is only ever a target on
+    /// [`SimDisk::arm_cylinder`] and [`SimDisk::arm_surface`], and every
+    /// other target keeps its seek and rotational bounds.
     pub fn read_ahead_enabled(&self) -> bool {
         self.read_ahead
     }
@@ -1076,6 +1086,67 @@ mod tests {
         let b = d.begin(d.busy_until(), &t, false);
         // Re-reading the just-read sectors costs a near-full revolution.
         assert!(b.rotation > SimDuration::from_millis(4));
+    }
+
+    /// The invariant the drive queue's SATF walk relies on: the buffered
+    /// track is empty or the arm's own `(cylinder, surface)`, across random
+    /// reads and writes through every commit path, read-ahead toggles,
+    /// both timing paths and tracked head knowledge. Targets repeat the
+    /// arm's track often, so the buffer fills and hits are served.
+    #[test]
+    fn buffered_track_is_empty_or_the_arm_track() {
+        mimd_sim::check::check_cases("buffered track follows the arm", 24, |case, rng| {
+            let path = if case % 2 == 0 {
+                TimingPath::Detailed
+            } else {
+                TimingPath::Analytic
+            };
+            let knowledge = if case % 3 == 0 {
+                PositionKnowledge::Tracked {
+                    mean_error_us: 3.0,
+                    std_error_us: 31.0,
+                }
+            } else {
+                PositionKnowledge::Perfect
+            };
+            let mut d = SimDisk::new(&DiskParams::st39133lwv(), path, knowledge, case).unwrap();
+            let cyls = u64::from(d.geometry().total_cylinders());
+            let surfaces = u64::from(d.geometry().surfaces());
+            let mut hits = 0;
+            for _ in 0..200 {
+                if rng.below(8) == 0 {
+                    d.set_read_ahead(rng.below(2) == 0);
+                }
+                let (cylinder, surface) = match rng.below(3) {
+                    0 => (d.arm_cylinder(), d.arm_surface()),
+                    1 => (d.arm_cylinder(), rng.below(surfaces) as u32),
+                    _ => (rng.below(cyls) as u32, rng.below(surfaces) as u32),
+                };
+                let t = Target {
+                    cylinder,
+                    surface,
+                    angle: rng.unit(),
+                    sectors: 1 + rng.below(64) as u32,
+                };
+                let write = rng.below(4) == 0;
+                let now = d.busy_until();
+                let est = d.estimate(now, &t, write);
+                hits += u32::from(est.positioning() == SimDuration::ZERO && !write);
+                let _ = match rng.below(3) {
+                    0 => d.begin(now, &t, write),
+                    1 => d.begin_chained(now, &t, write),
+                    _ => d.begin_with_estimate(now, &t, write).1,
+                };
+                let arm = (d.arm_cylinder(), d.arm_surface());
+                assert!(
+                    d.buffered_track.is_none_or(|track| track == arm),
+                    "buffered track {:?} is not the arm's {arm:?}",
+                    d.buffered_track
+                );
+                assert!(d.read_ahead || d.buffered_track.is_none());
+            }
+            assert!(hits > 0, "no buffer hit was served");
+        });
     }
 
     #[test]
